@@ -18,7 +18,7 @@ from . import operators as _ops
 from .operators import IdentityRecord, record
 from . import fock as _fock
 from .fock import CreationPolynomial, wick_inner
-from .jordan import JordanLabel, build_state
+from .jordan import JordanLabel, build_state, _dfact
 
 __all__ = [
     "normalization", "creation_over_normalized_ratio", "norm_pairing",
@@ -28,14 +28,6 @@ __all__ = [
     "verify_adjoint_rules", "verify_cross_block_orthogonality",
     "verify_oracle_agreement",
 ]
-
-
-def _dfact(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
 
 
 def normalization(k: int, n: int) -> ParamScalar:
@@ -235,10 +227,6 @@ def verify_normalization(max_k: int = 4, max_n: int = 4) -> list:
     return out
 
 
-def _eta_sign_word(i, j, l):
-    return CreationPolynomial.word(i, j, l)
-
-
 def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
     """The three vacuum pairings whose vanishing drives the normalization
     induction; evaluated by contraction permanents."""
@@ -288,7 +276,6 @@ def verify_q_identities(k_max: int = 3, n_max: int = 3) -> list:
     out = []
     Qp, Qm = cat["Q+"], cat["Q-"]
     lam, g = LAM, G
-    ident = _ops.catalogue()["H"] - _ops.catalogue()["H"]  # zero operator
     from .weyl import identity_op, ground_state
     one = identity_op()
     for k in range(1, k_max + 1):

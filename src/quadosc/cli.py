@@ -71,8 +71,9 @@ def _cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     report = VerificationReport(args.suite)
     tasks = [(name, args.max_k, args.max_n) for name in names]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_suite, tasks))
     else:
         chunks = [_run_suite(t) for t in tasks]
@@ -223,6 +224,17 @@ def _cmd_report(args) -> int:
     return 1 if merged["summary"]["failed"] else 0
 
 
+def _at_least(minimum: int):
+    """Argument type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadosc",
@@ -232,19 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--max-k", type=int, default=3, dest="max_k")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
+    p.add_argument("--max-k", type=_at_least(0), default=3, dest="max_k")
+    p.add_argument("--max-n", type=_at_least(0), default=3, dest="max_n")
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     p.add_argument("--timing", action="store_true",
                    help="embed measured per-identity times (breaks byte reproducibility)")
-    p.add_argument("--jobs", type=int, default=1, help="suite-level worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="suite-level worker processes (at most one per suite is started)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tabulate", help="print coefficient tables")
     p.add_argument("--what", choices=("ab", "N", "ladder-coeffs", "f-poly"), required=True)
-    p.add_argument("--max-k", type=int, default=2, dest="max_k")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--max-p", type=int, default=3, dest="max_p")
+    p.add_argument("--max-k", type=_at_least(0), default=2, dest="max_k")
+    p.add_argument("--max-n", type=_at_least(0), default=4, dest="max_n")
+    p.add_argument("--max-p", type=_at_least(0), default=3, dest="max_p")
     p.add_argument("--csv", metavar="PATH", help="write CSV instead of a console table")
     p.set_defaults(func=_cmd_tabulate)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from .weyl import (Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
-                   poly_var, poly_one)
+                   SPACE_ABC, poly_var, poly_one)
 from . import operators as _ops
 
 __all__ = [
@@ -36,21 +36,18 @@ __all__ = [
 _LETTERS = ("A", "B", "C")
 
 
-class CreationPolynomial:
+class CreationPolynomial(Poly3):
     """Finite sum of creation words (i, j, l) with ParamScalar coefficients.
 
     A word (i, j, l) denotes the state  (A+)^i (B+)^j (C+)^l  applied to the
-    ground state; the letters commute, so the exponent triple is well defined.
+    ground state; the letters commute, so the exponent triple is well defined
+    and a creation polynomial is a :class:`Poly3` in the letters A+, B+, C+.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        cleaned = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CreationPolynomial is immutable")
+        super().__init__(terms, SPACE_ABC)
 
     @classmethod
     def word(cls, i: int, j: int, l: int, coeff=None):
@@ -60,85 +57,8 @@ class CreationPolynomial:
     def zero(cls):
         return cls({})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return CreationPolynomial(out)
-
-    def __neg__(self):
-        return CreationPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "CreationPolynomial":
-        c = ParamScalar(c) if not isinstance(c, ParamScalar) else c
-        return CreationPolynomial({m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                add = c1 * c2
-                cur = out.get(m)
-                out[m] = add if cur is None else cur + add
-        return CreationPolynomial(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, CreationPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (i, j, l), coeff in self.sorted_terms():
-            factors = []
-            for name, e in (("A+", i), ("B+", j), ("C+", l)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = coeff.render()
-            if factors:
-                if coeff.is_one():
-                    body = "*".join(factors)
-                elif (-coeff).is_one():
-                    body = "-" + "*".join(factors)
-                else:
-                    atomic = all(ch not in "+-" or k == 0 for k, ch in enumerate(cs))
-                    cs = cs if atomic and "/" not in cs[1:] else f"({cs})"
-                    body = cs + "*" + "*".join(factors)
-            else:
-                body = cs
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(" - " + body[1:])
-            else:
-                pieces.append(" + " + body)
-        return "".join(pieces)
-
     def to_json(self):
         return [{"word": list(m), "coeff": c.render()} for m, c in self.sorted_terms()]
-
-    def __repr__(self):
-        return f"CreationPolynomial({self.render()})"
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +237,6 @@ def raising_ops_uvw():
     b_hat = v + du + dw.scale(G)
     c_hat = w.scale(2) + dv.scale(scalar(2) * G) + dw.scale(-LAM)
     return (a_hat, b_hat, c_hat)
-
-
-@lru_cache(maxsize=None)
-def lowering_ops_uvw():
-    """The lowering letters in the polynomial picture: pure derivative ops."""
-    from .weyl import derivative as _de
-    du, dv, dw = (_de(i, SPACE_UVW) for i in range(3))
-    return (dv.scale(scalar(-2) * LAM), du + dw.scale(G),
-            dv.scale(scalar(2) * G) + dw.scale(-LAM))
 
 
 @lru_cache(maxsize=None)

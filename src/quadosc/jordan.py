@@ -25,7 +25,7 @@ from .fock import CreationPolynomial
 __all__ = [
     "JordanLabel", "AssociatedState", "coeff_a", "coeff_b",
     "build_state", "build_state_direct", "ladder_apply",
-    "special_operator_actions", "d_p", "to_uvw", "f_polynomial",
+    "special_operator_actions", "d_p", "f_polynomial",
     "verify_jordan_layer", "verify_coefficient_recursions",
     "verify_auxiliary_relations", "verify_ladder_actions",
     "verify_special_actions", "verify_uvw_layer",
@@ -491,10 +491,6 @@ def f_polynomial(p: int, q: int) -> Poly3:
     for (r, _, s), c in prev_q2.terms.items():
         add(r, s, scalar(-4) * g * g * c)
     return Poly3(terms, SPACE_UVW)
-
-
-def to_uvw(state: AssociatedState) -> Poly3:
-    return state.uvw_poly()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .weyl import (WeylOperator, SPACE_ZZB, variable, derivative, identity_op)
 
 __all__ = [
     "IdentityRecord", "catalogue", "op", "boson", "sqrt2lam_ops",
-    "SqrtTwoLamOperator", "anticommutator",
+    "SqrtTwoLamOperator",
     "verify_ladder_relations", "verify_q_factorization",
     "verify_nine_dim_algebra", "verify_gl3", "verify_boson_layer",
     "verify_sp6_osp16_closure", "verify_integrals_cubic_algebra",
@@ -258,10 +258,6 @@ def bilinear_differential_forms() -> dict:
         "Z": ((zb.scale(g) + x3.scale(-lam)) * dzb).scale(-2)
              - (z.scale(lam) + x3.scale(-2 * g)) * d3,
     }
-
-
-def anticommutator(a, b):
-    return a * b + b * a
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +843,10 @@ def verify_integrals_cubic_algebra() -> list:
     out.append(record("integrals/R2-bilinear", "second integral as a bilinear",
                       c["R2"],
                       (-(c["R"] * (c["X"] - _ID.scale(scalar(2) * LAM))))
-                      + anticommutator(c["V"], c["Y"]).scale(scalar(Fraction(1, 4)))))
+                      + c["V"].anticommutator(c["Y"]).scale(scalar(Fraction(1, 4)))))
     out.append(record("integrals/R3-bilinear", "third integral as a bilinear",
                       c["R3"],
                       c["R"] * (c["U"] - c["X"] + _ID.scale(scalar(4) * LAM))
                       - (c["V"] * c["V"] + c["Y"] * c["Y"]
-                         - anticommutator(c["V"], c["Y"])).scale(scalar(Fraction(1, 4)))))
+                         - c["V"].anticommutator(c["Y"])).scale(scalar(Fraction(1, 4)))))
     return out

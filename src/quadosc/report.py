@@ -8,6 +8,7 @@ reproducibility).
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 from dataclasses import dataclass, field
 
@@ -17,52 +18,16 @@ __all__ = ["VerificationReport", "merge_reports", "SCHEMA"]
 
 _VERSION = "0.1.0"
 
-SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "quadosc verification report",
-    "type": "object",
-    "required": ["suite", "environment", "records", "summary"],
-    "additionalProperties": False,
-    "properties": {
-        "suite": {"type": "string"},
-        "environment": {
-            "type": "object",
-            "required": ["version", "parameter_mode"],
-            "additionalProperties": False,
-            "properties": {
-                "version": {"type": "string"},
-                "parameter_mode": {"type": "string", "enum": ["symbolic"]},
-            },
-        },
-        "records": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["suite", "id", "status", "residual", "anchor", "ms"],
-                "additionalProperties": False,
-                "properties": {
-                    "suite": {"type": "string"},
-                    "id": {"type": "string"},
-                    "status": {"type": "string", "enum": ["verified", "failed"]},
-                    "residual": {"type": "string"},
-                    "anchor": {"type": "string"},
-                    "ms": {"type": "number"},
-                    "note": {"type": "string"},
-                },
-            },
-        },
-        "summary": {
-            "type": "object",
-            "required": ["total", "verified", "failed"],
-            "additionalProperties": False,
-            "properties": {
-                "total": {"type": "integer"},
-                "verified": {"type": "integer"},
-                "failed": {"type": "integer"},
-            },
-        },
-    },
-}
+
+def __getattr__(name):
+    """``SCHEMA``, the published report schema, read from the package on
+    first use (importing this module opens no file)."""
+    global SCHEMA
+    if name != "SCHEMA":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    SCHEMA = json.loads(
+        importlib.resources.files(__package__).joinpath("report_schema.json").read_text())
+    return SCHEMA
 
 
 @dataclass

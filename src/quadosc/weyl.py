@@ -9,6 +9,9 @@ coefficients.  Two operator "spaces" share this structure:
 * ``uvw``  — variables (u, v, w), derivatives (du, dv, dw); the transformed
   space used for the multivariate-polynomial layer.
 
+Operators, polynomials and creation-letter polynomials are all sparse sums of
+monomials; :class:`SparseTerms` holds their shared additive structure,
+equality and rendering, and each subclass adds only its own product.
 Equality is exact term-wise equality, so operator identities are decidable.
 All values are immutable; operations are pure.
 """
@@ -21,18 +24,20 @@ from itertools import product as _iproduct
 from .coeff import ParamScalar, ZERO, ONE, LAM, G, scalar
 
 __all__ = [
-    "WeylOperator", "Poly3", "GaussianState",
-    "SPACE_ZZB", "SPACE_UVW", "variable", "derivative", "identity_op",
+    "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
+    "SPACE_ZZB", "SPACE_UVW", "SPACE_ABC", "variable", "derivative", "identity_op",
 ]
 
 SPACE_ZZB = "zzb"
 SPACE_UVW = "uvw"
 SPACE_X123 = "x123"   # real coordinates; used only inside the moment oracle
+SPACE_ABC = "abc"     # commuting creation letters (fock.CreationPolynomial)
 
 _NAMES = {
     SPACE_ZZB: ("z", "zb", "x3", "dz", "dzb", "d3"),
     SPACE_UVW: ("u", "v", "w", "du", "dv", "dw"),
     SPACE_X123: ("x1", "x2", "x3", "dx1", "dx2", "dx3"),
+    SPACE_ABC: ("A+", "B+", "C+"),
 }
 
 
@@ -44,54 +49,164 @@ def _clean(terms):
     return {m: c for m, c in terms.items() if not c.is_zero()}
 
 
-class WeylOperator:
-    """Finite normal-ordered sum of Weyl-algebra monomials."""
+def _scalar_atomic(s: str) -> bool:
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(*/^":
+            return False
+    return True
+
+
+class SparseTerms:
+    """Immutable finite sum of monomials (exponent tuples) with ParamScalar
+    coefficients, in one named variable space.
+
+    Holds everything the three containers share: the additive structure,
+    scaling, equality, hashing and the one rendering rule.  Subclasses supply
+    the product.  Results keep the class of ``self`` through :meth:`_new`.
+    """
 
     __slots__ = ("terms", "space")
+    _UNIT = (0, 0, 0)   # exponent tuple of the constant monomial
 
     def __init__(self, terms=None, space=SPACE_ZZB):
         object.__setattr__(self, "terms", _clean(terms or {}))
         object.__setattr__(self, "space", space)
 
     def __setattr__(self, name, value):
-        raise AttributeError("WeylOperator is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- ring structure -----------------------------------------------------
+    def _new(self, terms):
+        """A value of the same class and space as ``self``, built without
+        calling a subclass constructor (CreationPolynomial's takes no space)."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "terms", _clean(terms))
+        object.__setattr__(out, "space", self.space)
+        return out
+
+    def _coerce(self, other):
+        """``other`` as a value of this class, or None when it is not one."""
+        return other if isinstance(other, type(self)) else None
 
     def _check(self, other):
         if self.space != other.space:
-            raise ValueError(f"operator spaces differ: {self.space} vs {other.space}")
+            raise ValueError(f"spaces differ: {self.space} vs {other.space}")
+
+    # -- additive structure -------------------------------------------------
 
     def __add__(self, other):
-        other = _as_op(other, self.space)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, ZERO) + c
-        return WeylOperator(out, self.space)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOperator({m: -c for m, c in self.terms.items()}, self.space)
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = _as_op(other, self.space)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_op(other, self.space)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
-    def scale(self, c) -> "WeylOperator":
-        c = ParamScalar(c) if not isinstance(c, ParamScalar) else c
-        return WeylOperator({m: c * v for m, v in self.terms.items()}, self.space)
+    def scale(self, c):
+        c = c if isinstance(c, ParamScalar) else ParamScalar(c)
+        return self._new({m: c * v for m, v in self.terms.items()})
+
+    __rmul__ = scale
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        acc = self._new({self._UNIT: ONE})
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    # -- comparison ---------------------------------------------------------
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        return max((sum(m) for m in self.terms), default=0)
+
+    def coefficient(self, mono) -> ParamScalar:
+        return self.terms.get(tuple(mono), ZERO)
+
+    # -- presentation -------------------------------------------------------
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        names = _NAMES[self.space]
+        pieces = []
+        for mono, coeff in self.sorted_terms():
+            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
+                       for i, e in enumerate(mono) if e]
+            cs = coeff.render()
+            if factors:
+                if coeff.is_one():
+                    body = "*".join(factors)
+                elif (-coeff).is_one():
+                    body = "-" + "*".join(factors)
+                else:
+                    cs = cs if _scalar_atomic(cs) else f"({cs})"
+                    body = cs + "*" + "*".join(factors)
+            else:
+                body = cs if _scalar_atomic(cs) else f"({cs})"
+            if not pieces:
+                pieces.append(body)
+            elif body.startswith("-"):
+                pieces.append(" - " + body[1:])
+            else:
+                pieces.append(" + " + body)
+        return "".join(pieces)
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self.space}>({self.render()})"
+
+
+class WeylOperator(SparseTerms):
+    """Finite normal-ordered sum of Weyl-algebra monomials."""
+
+    __slots__ = ()
+    _UNIT = (0, 0, 0, 0, 0, 0)
+
+    def _coerce(self, other):
+        if isinstance(other, WeylOperator):
+            return other
+        if isinstance(other, (int, ParamScalar)):
+            return identity_op(self.space).scale(other)
+        return None
 
     def __mul__(self, other):
         if isinstance(other, WeylOperator):
@@ -104,31 +219,8 @@ class WeylOperator:
                         cur = out.get(m)
                         add = c12 if k == 1 else c12 * k
                         out[m] = add if cur is None else cur + add
-            return WeylOperator(out, self.space)
+            return self._new(out)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative operator power")
-        acc = identity_op(self.space)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        other = _as_op(other, self.space)
-        if other is None:
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def commutator(self, other) -> "WeylOperator":
         return self * other - other * self
@@ -209,61 +301,6 @@ class WeylOperator:
             out = out + p.scale(coeff)
         return out
 
-    # -- presentation -------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        names = _NAMES[self.space]
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(mono) if e]
-            cs = coeff.render()
-            if factors:
-                if coeff.is_one():
-                    body = "*".join(factors)
-                elif (-coeff).is_one():
-                    body = "-" + "*".join(factors)
-                else:
-                    cs = cs if _scalar_atomic(cs) else f"({cs})"
-                    body = cs + "*" + "*".join(factors)
-            else:
-                body = cs if _scalar_atomic(cs) else f"({cs})"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(" - " + body[1:])
-            else:
-                pieces.append(" + " + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"WeylOperator<{self.space}>({self.render()})"
-
-
-def _scalar_atomic(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(*/^":
-            return False
-    return True
-
-
-def _as_op(x, space):
-    if isinstance(x, WeylOperator):
-        return x
-    if isinstance(x, (int, ParamScalar)):
-        return identity_op(space).scale(x)
-    return None
-
 
 _REORDER_CACHE = {}
 
@@ -315,38 +352,10 @@ def derivative(i: int, space=SPACE_ZZB) -> WeylOperator:
 # Polynomials and states
 # ---------------------------------------------------------------------------
 
-class Poly3:
+class Poly3(SparseTerms):
     """Polynomial in three commuting variables over ParamScalar."""
 
-    __slots__ = ("terms", "space")
-
-    def __init__(self, terms=None, space=SPACE_ZZB):
-        object.__setattr__(self, "terms", _clean(terms or {}))
-        object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly3 is immutable")
-
-    def _check(self, other):
-        if self.space != other.space:
-            raise ValueError("polynomial spaces differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return Poly3(out, self.space)
-
-    def __neg__(self):
-        return Poly3({m: -c for m, c in self.terms.items()}, self.space)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "Poly3":
-        c = ParamScalar(c) if not isinstance(c, ParamScalar) else c
-        return Poly3({m: c * v for m, v in self.terms.items()}, self.space)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
@@ -358,28 +367,8 @@ class Poly3:
                     add = c1 * c2
                     cur = out.get(m)
                     out[m] = add if cur is None else cur + add
-            return Poly3(out, self.space)
+            return self._new(out)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, n: int):
-        acc = Poly3({(0, 0, 0): ONE}, self.space)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def diff(self, axis: int) -> "Poly3":
         out = {}
@@ -392,13 +381,7 @@ class Poly3:
                 add = c * e
                 cur = out.get(m2)
                 out[m2] = add if cur is None else cur + add
-        return Poly3(out, self.space)
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def coefficient(self, mono) -> ParamScalar:
-        return self.terms.get(tuple(mono), ZERO)
+        return self._new(out)
 
     def substitute(self, images) -> "Poly3":
         """Substitute variable i by the polynomial images[i] (all in one
@@ -420,40 +403,7 @@ class Poly3:
 
     def swap01(self) -> "Poly3":
         """Exchange the first two variables (the x2-parity action on zzb)."""
-        return Poly3({(b, a, c): v for (a, b, c), v in self.terms.items()}, self.space)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        names = _NAMES[self.space][:3]
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(mono) if e]
-            cs = coeff.render()
-            if factors:
-                if coeff.is_one():
-                    body = "*".join(factors)
-                elif (-coeff).is_one():
-                    body = "-" + "*".join(factors)
-                else:
-                    cs = cs if _scalar_atomic(cs) else f"({cs})"
-                    body = cs + "*" + "*".join(factors)
-            else:
-                body = cs if _scalar_atomic(cs) else f"({cs})"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(" - " + body[1:])
-            else:
-                pieces.append(" + " + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"Poly3<{self.space}>({self.render()})"
+        return self._new({(b, a, c): v for (a, b, c), v in self.terms.items()})
 
 
 def _var_mono(space, exps) -> Poly3:

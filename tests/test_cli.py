@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from quadosc.cli import main
 from quadosc.report import SCHEMA, VerificationReport
@@ -121,13 +122,6 @@ def test_report_merge_failed_records_exit_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_published_schema_file_matches():
-    import importlib.resources as res
-    with res.files("quadosc").joinpath("report_schema.json").open() as fh:
-        on_disk = json.load(fh)
-    assert on_disk == SCHEMA
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["tabulate"]) == 2
@@ -143,3 +137,66 @@ def test_exit_code_contract_on_failure(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ladder")
     assert code == 1
     assert "FAILED fake/one" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "jordan", "--max-k", "-1", "--max-n", "-1"),
+    ("verify", "--suite", "ladder", "--max-n", "-1"),
+    ("verify", "--suite", "ladder", "--jobs", "0"),
+    ("tabulate", "--what", "N", "--max-k", "-2"),
+    ("tabulate", "--what", "ab", "--max-n", "-1"),
+    ("tabulate", "--what", "f-poly", "--max-p", "-1"),
+])
+def test_negative_bounds_and_jobs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "must be at least" in err
+    assert out == ""
+
+
+def test_jobs_clamped_to_suite_count(monkeypatch, capsys):
+    from quadosc import cli as climod
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    def fake(args):
+        return [(args[0], [IdentityRecord(f"{args[0]}/one", "synthetic", "verified", "0")])]
+
+    monkeypatch.setattr(climod, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(climod, "_run_suite", fake)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--jobs", "64")
+    assert code == 0
+    assert f"total: {len(climod.SUITES)}" in out
+    assert started == [len(climod.SUITES)]
+    run(capsys, "verify", "--suite", "all", "--jobs", "2")
+    assert started == [len(climod.SUITES), 2]
+    code, out, _ = run(capsys, "verify", "--suite", "ladder", "--jobs", "64")
+    assert code == 0 and "total: 1" in out
+    assert started == [len(climod.SUITES), 2]      # one suite: no pool at all
+
+
+def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
+    # every suite at default bounds: the degenerate cross-block pairing is the
+    # one red record, with its documented residual; any other failure, or a
+    # changed residual, shows up here
+    path = tmp_path / "all.json"
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--json", str(path))
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    failed = [(r["suite"], r["id"], r["residual"])
+              for r in doc["records"] if r["status"] == "failed"]
+    assert failed == [("biortho", "biortho/cross-0-2-x-1-0", "m=4 x m'=0: -8*g^2")]
+    assert doc["summary"]["failed"] == 1
+    assert code == 1

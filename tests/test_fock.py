@@ -1,12 +1,14 @@
 """Inner-product engines: contraction permanents vs Gaussian moments."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadosc.coeff import LAM, G, ONE, ZERO, scalar
-from quadosc.weyl import ground_state, GaussianState, Poly3, SPACE_ZZB
+from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
+                          poly_var)
 from quadosc import fock
 from quadosc import operators as ops
 from quadosc.fock import CreationPolynomial, wick_inner, gaussian_moment_inner
@@ -176,3 +178,26 @@ def test_serialization():
         {"word": [1, 1, 0], "coeff": "2"},
         {"word": [0, 0, 2], "coeff": "-1"},
     ]
+
+
+def test_containers_render_coefficients_alike():
+    # operators, polynomials and creation polynomials share one rendering
+    # rule: a rational multiple of a monomial is bare, a sum is parenthesized,
+    # whether it multiplies a monomial or stands alone as the constant term
+    terms = {(1, 0, 0): scalar(Fraction(1, 2)) * LAM, (0, 1, 0): -LAM - G,
+             (0, 0, 0): LAM + G}
+    op = WeylOperator({m + (0, 0, 0): c for m, c in terms.items()})
+    assert op.render() == "(1/2)*lam*z + (-lam - g)*zb + (lam + g)"
+    assert Poly3(terms).render() == op.render()
+    assert CreationPolynomial(terms).render() == "(1/2)*lam*A+ + (-lam - g)*B+ + (lam + g)"
+
+
+def test_creation_polynomial_arithmetic_keeps_its_class():
+    p = CreationPolynomial({(1, 0, 0): LAM, (0, 0, 2): -ONE})
+    for value in (p + p, p - p, -p, p.scale(2), 2 * p, p * p, p ** 2):
+        assert type(value) is CreationPolynomial
+    assert p * p == p ** 2
+    assert p + p == p.scale(2) and (p - p).is_zero()
+    assert p != Poly3(p.terms)                    # same terms, other space
+    with pytest.raises(ValueError):
+        _ = p + poly_var(0)
