@@ -18,7 +18,7 @@ from . import operators as _ops
 from .operators import IdentityRecord, record
 from . import fock as _fock
 from .fock import CreationPolynomial, wick_inner
-from .jordan import JordanLabel, build_state, _dfact
+from .jordan import JordanLabel, build_state, _blocks, _dfact
 
 __all__ = [
     "normalization", "creation_over_normalized_ratio", "norm_pairing",
@@ -203,17 +203,13 @@ def verify_normalization(max_k: int = 4, max_n: int = 4) -> list:
     """Mirror pairings equal N(k, n) for every member; the closed form
     reduces correctly on the two boundary families."""
     out = []
-    cap = max(max_k, max_n)
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            want = normalization(k, n)
-            for m in range(2 * n + 1):
-                out.append(record(
-                    f"biortho/norm-{k}-{n}-{m}",
-                    "mirror pairing is member-independent",
-                    norm_pairing(k, n, m), want))
+    for k, n in _blocks(max_k, max_n):
+        want = normalization(k, n)
+        for m in range(2 * n + 1):
+            out.append(record(
+                f"biortho/norm-{k}-{n}-{m}",
+                "mirror pairing is member-independent",
+                norm_pairing(k, n, m), want))
     for n in range(max_n + 1):
         reduced = scalar(Fraction(8 ** n * math.factorial(n) ** 2 * _dfact(2 * n - 1))) \
             * LAM ** n * G ** (2 * n)
@@ -252,20 +248,16 @@ def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
 
 def verify_T_vanishing(max_k: int = 4, max_n: int = 4) -> list:
     out = []
-    cap = max(max_k, max_n)
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            if k >= 2:
-                out.append(record(f"biortho/T1-{k}-{n}", "vanishing pairing (first kind)",
-                                  t_vanishing_value(1, k, n), ZERO))
-            if k >= 1 and n >= 1:
-                out.append(record(f"biortho/T2-{k}-{n}", "vanishing pairing (second kind)",
-                                  t_vanishing_value(2, k, n), ZERO))
-            if k >= 1 and n >= 2:
-                out.append(record(f"biortho/T3-{k}-{n}", "vanishing pairing (third kind)",
-                                  t_vanishing_value(3, k, n), ZERO))
+    for k, n in _blocks(max_k, max_n):
+        if k >= 2:
+            out.append(record(f"biortho/T1-{k}-{n}", "vanishing pairing (first kind)",
+                              t_vanishing_value(1, k, n), ZERO))
+        if k >= 1 and n >= 1:
+            out.append(record(f"biortho/T2-{k}-{n}", "vanishing pairing (second kind)",
+                              t_vanishing_value(2, k, n), ZERO))
+        if k >= 1 and n >= 2:
+            out.append(record(f"biortho/T3-{k}-{n}", "vanishing pairing (third kind)",
+                              t_vanishing_value(3, k, n), ZERO))
     return out
 
 
@@ -327,43 +319,35 @@ def verify_gram_blocks(max_k: int = 4, max_n: int = 4) -> list:
     """Hankel structure, zero pattern, anti-diagonal value, and the
     self-orthogonality of the chain top."""
     out = []
-    cap = max(max_k, max_n)
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            try:
-                block = gram(k, n)
-            except AssertionError as exc:
-                out.append(IdentityRecord(
-                    f"biortho/gram-{k}-{n}", "Gram block structure", "failed", str(exc)))
-                continue
-            ok_anti = block.hankel[2 * n] == normalization(k, n)
-            ok_self = n == 0 or block.matrix[0][0].is_zero()
+    for k, n in _blocks(max_k, max_n):
+        try:
+            block = gram(k, n)
+        except AssertionError as exc:
             out.append(IdentityRecord(
-                f"biortho/gram-{k}-{n}", "Gram block structure",
-                "verified" if (ok_anti and ok_self) else "failed",
-                "0" if (ok_anti and ok_self) else "anti-diagonal or self-pairing mismatch",
-                note="Hankel with zeros above the anti-diagonal"))
+                f"biortho/gram-{k}-{n}", "Gram block structure", "failed", str(exc)))
+            continue
+        ok_anti = block.hankel[2 * n] == normalization(k, n)
+        ok_self = n == 0 or block.matrix[0][0].is_zero()
+        out.append(IdentityRecord(
+            f"biortho/gram-{k}-{n}", "Gram block structure",
+            "verified" if (ok_anti and ok_self) else "failed",
+            "0" if (ok_anti and ok_self) else "anti-diagonal or self-pairing mismatch",
+            note="Hankel with zeros above the anti-diagonal"))
     return out
 
 
 def verify_orthogonalization(max_k: int = 3, max_n: int = 3) -> list:
     """The canonical solver yields the exact anti-diagonal pattern."""
     out = []
-    cap = max(max_k, max_n)
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            try:
-                orthogonalize(k, n)
-            except ArithmeticError as exc:
-                out.append(IdentityRecord(
-                    f"biortho/phi-{k}-{n}", "triangular orthogonalization", "failed", str(exc)))
-            else:
-                out.append(IdentityRecord(
-                    f"biortho/phi-{k}-{n}", "triangular orthogonalization", "verified", "0"))
+    for k, n in _blocks(max_k, max_n):
+        try:
+            orthogonalize(k, n)
+        except ArithmeticError as exc:
+            out.append(IdentityRecord(
+                f"biortho/phi-{k}-{n}", "triangular orthogonalization", "failed", str(exc)))
+        else:
+            out.append(IdentityRecord(
+                f"biortho/phi-{k}-{n}", "triangular orthogonalization", "verified", "0"))
     return out
 
 
@@ -428,9 +412,7 @@ def verify_cross_block_orthogonality(max_k: int = 2, max_n: int = 2) -> list:
     energy where two different blocks share an eigenvalue."""
     out = []
     pairs = []
-    cap = max(max_k, max_n)
-    labels = [(k, n) for k in range(max_k + 1) for n in range(max_n + 1)
-              if k + n <= cap]
+    labels = list(_blocks(max_k, max_n))
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             pairs.append((a, b))

@@ -13,7 +13,10 @@ Sums, differences and products of two values whose denominators are
 monomials lam^a*g^b (every value the suites build) skip the general GCD:
 the only common factor such a denominator can share with a numerator is a
 monomial, which is divided out directly.  The result is the same canonical
-pair the general route gives.
+pair the general route gives.  Constants, conjugates and the generators
+``lam`` and ``g`` are canonical pairs as built, so they never enter the
+fraction field either; only division, powers and non-monomial denominators
+take the general route.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _render_gauss(c: GaussianRational, wrap: bool = True) -> str:
 
 
 # Shared ground field: rational functions in (lam, g) over QQ_I, grlex, lam > g.
-_FIELD, _LAM_EL, _G_EL = _field("lam,g", QQ_I, order="grlex")
+_FIELD = _field("lam,g", QQ_I, order="grlex")[0]
 _RING = _FIELD.ring
 _ONE_POLY = _RING.one
 _ZERO_POLY = _RING.zero
@@ -185,25 +188,10 @@ class ParamScalar:
         if isinstance(value, ParamScalar):
             num, den = value._num, value._den
         else:
-            frac = self._coerce(value)
-            num, den = frac.numer, frac.denom
-            lc = den.LC
-            if lc != QQ_I.one:
-                num = num.quo_ground(lc)
-                den = den.quo_ground(lc)
+            num, den = _RING.ground_new(_gauss_to_dom(_as_gauss(value))), _ONE_POLY
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, (int, Fraction)):
-            return _FIELD.ground_new(_gauss_to_dom(GaussianRational(value)))
-        if isinstance(value, GaussianRational):
-            return _FIELD.ground_new(_gauss_to_dom(value))
-        if isinstance(value, _FIELD.dtype):
-            return value
-        raise TypeError(f"cannot build ParamScalar from {value!r}")
 
     @classmethod
     def _raw(cls, frac):
@@ -326,9 +314,8 @@ class ParamScalar:
 
     def conjugate(self) -> "ParamScalar":
         """Map I -> -I in every coefficient; lam and g are real and fixed."""
-        num = _conj_poly(self._num)
-        den = _conj_poly(self._den)
-        return ParamScalar._raw(_FIELD.raw_new(num, den))
+        # a monic denominator stays monic and coprimality is preserved
+        return ParamScalar._make(_conj_poly(self._num), _conj_poly(self._den))
 
     def evaluate(self, lam0, g0) -> GaussianRational:
         """Exact substitution lam -> lam0, g -> g0 (rationals or Gaussian rationals)."""
@@ -341,13 +328,6 @@ class ParamScalar:
                 f"pole: denominator vanishes at (lam, g) = ({lam0}, {g0})")
         num_v = self._num.evaluate(subs)
         return _dom_to_gauss(num_v) / _dom_to_gauss(den_v)
-
-    def numerator_terms(self):
-        """Numerator as a list of ((e_lam, e_g), GaussianRational) in grlex order."""
-        return [(m, _dom_to_gauss(c)) for m, c in self._num.terms()]
-
-    def denominator_terms(self):
-        return [(m, _dom_to_gauss(c)) for m, c in self._den.terms()]
 
     def __repr__(self):
         return f"ParamScalar({self.render()!r})"
@@ -438,14 +418,8 @@ def scalar(value) -> ParamScalar:
     return ParamScalar(value)
 
 
-@lru_cache(maxsize=None)
-def _named_constants():
-    lam = ParamScalar._raw(_LAM_EL)
-    g = ParamScalar._raw(_G_EL)
-    i = ParamScalar(GaussianRational(0, 1))
-    return lam, g, i
-
-
-LAM, G, I = _named_constants()
+LAM = ParamScalar._make(_monomial(1, 0), _ONE_POLY)
+G = ParamScalar._make(_monomial(0, 1), _ONE_POLY)
+I = ParamScalar(GaussianRational(0, 1))
 ZERO = ParamScalar(0)
 ONE = ParamScalar(1)

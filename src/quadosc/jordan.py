@@ -252,6 +252,14 @@ def _frac(num, den) -> ParamScalar:
     return scalar(Fraction(num, den))
 
 
+def _emit(out: list, k: int, n: int, m: int, coeff: ParamScalar) -> None:
+    """Append (JordanLabel(k, n, m), coeff) unless the coefficient vanishes or
+    the label lies outside every block."""
+    if coeff.is_zero() or k < 0 or n < 0 or not (0 <= m <= 2 * n):
+        return
+    out.append((JordanLabel(k, n, m), coeff))
+
+
 def ladder_apply(op_name: str, label: JordanLabel):
     """Expansion of a ladder operator over unnormalized block members.
 
@@ -262,48 +270,43 @@ def ladder_apply(op_name: str, label: JordanLabel):
     k, n, m = label.k, label.n, label.m
     lam, g = LAM, G
     out = []
-
-    def emit(kk, nn, mm, coeff):
-        if coeff.is_zero() or kk < 0 or nn < 0 or not (0 <= mm <= 2 * nn):
-            return
-        out.append((JordanLabel(kk, nn, mm), coeff))
-
     if op_name == "A+":
-        emit(k, n + 1, m, ONE / (scalar(4 * (n + 1) * (2 * n + 1)) * g * g))
+        _emit(out, k, n + 1, m, ONE / (scalar(4 * (n + 1) * (2 * n + 1)) * g * g))
         if m >= 2:
-            emit(k + 1, n - 1, m - 2, _frac(n, 2 * n + 1))
+            _emit(out, k + 1, n - 1, m - 2, _frac(n, 2 * n + 1))
     elif op_name == "B+":
-        emit(k, n + 1, m + 2, _frac((m + 1) * (m + 2), 2 * (n + 1) * (2 * n + 1)))
-        emit(k + 1, n - 1, m,
-             scalar(Fraction(2 * n * (2 * n - m - 1) * (2 * n - m), 2 * n + 1)) * g * g)
+        _emit(out, k, n + 1, m + 2, _frac((m + 1) * (m + 2), 2 * (n + 1) * (2 * n + 1)))
+        _emit(out, k + 1, n - 1, m,
+              scalar(Fraction(2 * n * (2 * n - m - 1) * (2 * n - m), 2 * n + 1)) * g * g)
     elif op_name == "C+":
-        emit(k, n + 1, m + 1, -scalar(m + 1) / (scalar(2 * (n + 1) * (2 * n + 1)) * g))
+        _emit(out, k, n + 1, m + 1, -scalar(m + 1) / (scalar(2 * (n + 1) * (2 * n + 1)) * g))
         if m >= 1:
-            emit(k + 1, n - 1, m - 1, scalar(Fraction(2 * n * (2 * n - m), 2 * n + 1)) * g)
+            _emit(out, k + 1, n - 1, m - 1, scalar(Fraction(2 * n * (2 * n - m), 2 * n + 1)) * g)
     elif op_name == "A-":
-        emit(k - 1, n + 1, m, -scalar(k) * lam / (scalar((n + 1) * (2 * n + 1)) * g * g))
+        _emit(out, k - 1, n + 1, m, -scalar(k) * lam / (scalar((n + 1) * (2 * n + 1)) * g * g))
         if m >= 2:
-            emit(k, n - 1, m - 2,
-                 -scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * lam)
+            _emit(out, k, n - 1, m - 2,
+                  -scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * lam)
     elif op_name == "B-":
-        emit(k - 1, n + 1, m + 1, _frac(2 * k * (m + 1), (n + 1) * (2 * n + 1)))
-        emit(k - 1, n + 1, m + 2,
-             -scalar(Fraction(2 * k * (m + 1) * (m + 2), (n + 1) * (2 * n + 1))) * lam)
+        _emit(out, k - 1, n + 1, m + 1, _frac(2 * k * (m + 1), (n + 1) * (2 * n + 1)))
+        _emit(out, k - 1, n + 1, m + 2,
+              -scalar(Fraction(2 * k * (m + 1) * (m + 2), (n + 1) * (2 * n + 1))) * lam)
         if m >= 1:
-            emit(k, n - 1, m - 1,
-                 -scalar(Fraction(4 * n * (2 * n - m) * (2 * k + 2 * n + 1), 2 * n + 1)) * g * g)
-        emit(k, n - 1, m,
-             -scalar(Fraction(4 * n * (2 * n - m) * (2 * n - m - 1) * (2 * k + 2 * n + 1),
-                              2 * n + 1)) * lam * g * g)
+            _emit(out, k, n - 1, m - 1,
+                  -scalar(Fraction(4 * n * (2 * n - m) * (2 * k + 2 * n + 1), 2 * n + 1)) * g * g)
+        _emit(out, k, n - 1, m,
+              -scalar(Fraction(4 * n * (2 * n - m) * (2 * n - m - 1) * (2 * k + 2 * n + 1),
+                               2 * n + 1)) * lam * g * g)
     elif op_name == "C-":
-        emit(k - 1, n + 1, m, scalar(k) / (scalar((n + 1) * (2 * n + 1)) * g))
-        emit(k - 1, n + 1, m + 1,
-             -scalar(2 * k * (m + 1)) * lam / (scalar((n + 1) * (2 * n + 1)) * g))
+        _emit(out, k - 1, n + 1, m, scalar(k) / (scalar((n + 1) * (2 * n + 1)) * g))
+        _emit(out, k - 1, n + 1, m + 1,
+              -scalar(2 * k * (m + 1)) * lam / (scalar((n + 1) * (2 * n + 1)) * g))
         if m >= 2:
-            emit(k, n - 1, m - 2, scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * g)
+            _emit(out, k, n - 1, m - 2,
+                  scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * g)
         if m >= 1:
-            emit(k, n - 1, m - 1,
-                 scalar(Fraction(4 * n * (2 * k + 2 * n + 1) * (2 * n - m), 2 * n + 1)) * lam * g)
+            _emit(out, k, n - 1, m - 1,
+                  scalar(Fraction(4 * n * (2 * k + 2 * n + 1) * (2 * n - m), 2 * n + 1)) * lam * g)
     else:
         raise ValueError(f"unknown ladder operator {op_name!r}")
     return out
@@ -320,33 +323,27 @@ def special_operator_actions(label: JordanLabel) -> dict:
 
     r_terms = []
     v_terms = []
-
-    def emit(lst, kk, nn, mm, coeff):
-        if coeff.is_zero() or kk < 0 or nn < 0 or not (0 <= mm <= 2 * nn):
-            return
-        lst.append((JordanLabel(kk, nn, mm), coeff))
-
-    emit(r_terms, k - 1, n + 2, m,
-         -scalar(k) * lam / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 4))
+    _emit(r_terms, k - 1, n + 2, m,
+          -scalar(k) * lam / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 4))
     if m >= 2:
-        emit(r_terms, k, n, m - 2,
-             -scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) * lam / (g * g))
+        _emit(r_terms, k, n, m - 2,
+              -scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) * lam / (g * g))
     if m >= 4:
-        emit(r_terms, k + 1, n - 2, m - 4,
-             -scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
-                              (2 * n - 1) * (2 * n + 1))) * lam)
+        _emit(r_terms, k + 1, n - 2, m - 4,
+              -scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
+                               (2 * n - 1) * (2 * n + 1))) * lam)
 
-    emit(v_terms, k - 1, n + 2, m,
-         scalar(k) / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 3))
+    _emit(v_terms, k - 1, n + 2, m,
+          scalar(k) / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 3))
     if m >= 2:
-        emit(v_terms, k, n, m - 2,
-             scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) / g)
+        _emit(v_terms, k, n, m - 2,
+              scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) / g)
     if m >= 1:
-        emit(v_terms, k, n, m - 1, lam / g)
+        _emit(v_terms, k, n, m - 1, lam / g)
     if m >= 4:
-        emit(v_terms, k + 1, n - 2, m - 4,
-             scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
-                             (2 * n - 1) * (2 * n + 1))) * g)
+        _emit(v_terms, k + 1, n - 2, m - 4,
+              scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
+                              (2 * n - 1) * (2 * n + 1))) * g)
 
     return {
         "H": h_terms,
@@ -497,14 +494,20 @@ def f_polynomial(p: int, q: int) -> Poly3:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _labels(max_k: int, max_n: int):
+def _blocks(max_k: int, max_n: int):
+    """Block indices (k, n) with k <= max_k, n <= max_n and
+    k + n <= max(max_k, max_n), k-major."""
     cap = max(max_k, max_n)
     for k in range(max_k + 1):
         for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            for m in range(2 * n + 1):
-                yield JordanLabel(k, n, m)
+            if k + n <= cap:
+                yield k, n
+
+
+def _labels(max_k: int, max_n: int):
+    for k, n in _blocks(max_k, max_n):
+        for m in range(2 * n + 1):
+            yield JordanLabel(k, n, m)
 
 
 def verify_jordan_layer(max_k: int = 4, max_n: int = 4) -> list:
@@ -513,41 +516,37 @@ def verify_jordan_layer(max_k: int = 4, max_n: int = 4) -> list:
     out = []
     cat = _ops.catalogue()
     casimir = _ops.casimir_operator()
-    cap = max(max_k, max_n)
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
-            if k + n > cap:
-                continue
-            label_top = JordanLabel(k, n, 2 * n)
-            E = label_top.energy
-            h_shift = cat["H"] - identity_op().scale(E)
-            states = {m: build_state(JordanLabel(k, n, m)) for m in range(2 * n + 1)}
-            # all 2n+1 members nonzero; with the chain relation below this
-            # forces linear independence, hence the block dimension
-            nonzero = all(not s.creation.is_zero() for s in states.values())
-            out.append(IdentityRecord(
-                f"jordan/dim-{k}-{n}", "block dimension",
-                "verified" if (nonzero and len(states) == 2 * n + 1) else "failed",
-                "0" if nonzero else "vanishing member"))
-            for m in range(2 * n + 1):
-                st = states[m]
-                direct = build_state_direct(st.label)
-                out.append(record(
-                    f"jordan/closed-direct-{k}-{n}-{m}",
-                    "closed-form expansion equals repeated application",
-                    st.creation, direct.creation))
-                shifted = h_shift.apply(st.gaussian())
-                target = (states[m - 1].gaussian() if m >= 1
-                          else GaussianState(Poly3({}, SPACE_ZZB)))
-                out.append(record(
-                    f"jordan/chain-{k}-{n}-{m}",
-                    "chain relation under the shifted Hamiltonian",
-                    shifted, target))
-                out.append(record(
-                    f"jordan/casimir-{k}-{n}-{m}",
-                    "Casimir eigenvalue on block members",
-                    casimir.apply(st.gaussian()),
-                    st.gaussian().scale(casimir_eigenvalue(st.label))))
+    for k, n in _blocks(max_k, max_n):
+        label_top = JordanLabel(k, n, 2 * n)
+        E = label_top.energy
+        h_shift = cat["H"] - identity_op().scale(E)
+        states = {m: build_state(JordanLabel(k, n, m)) for m in range(2 * n + 1)}
+        # all 2n+1 members nonzero; with the chain relation below this
+        # forces linear independence, hence the block dimension
+        nonzero = all(not s.creation.is_zero() for s in states.values())
+        out.append(IdentityRecord(
+            f"jordan/dim-{k}-{n}", "block dimension",
+            "verified" if (nonzero and len(states) == 2 * n + 1) else "failed",
+            "0" if nonzero else "vanishing member"))
+        for m in range(2 * n + 1):
+            st = states[m]
+            direct = build_state_direct(st.label)
+            out.append(record(
+                f"jordan/closed-direct-{k}-{n}-{m}",
+                "closed-form expansion equals repeated application",
+                st.creation, direct.creation))
+            shifted = h_shift.apply(st.gaussian())
+            target = (states[m - 1].gaussian() if m >= 1
+                      else GaussianState(Poly3({}, SPACE_ZZB)))
+            out.append(record(
+                f"jordan/chain-{k}-{n}-{m}",
+                "chain relation under the shifted Hamiltonian",
+                shifted, target))
+            out.append(record(
+                f"jordan/casimir-{k}-{n}-{m}",
+                "Casimir eigenvalue on block members",
+                casimir.apply(st.gaussian()),
+                st.gaussian().scale(casimir_eigenvalue(st.label))))
     return out
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.rings import PolyElement
 
 from quadosc.coeff import GaussianRational, ParamScalar, LAM, G, I, ONE, ZERO, scalar
+from quadosc.weyl import variable
 
 
 def poly_divide_oracle(num_coeffs, den_coeffs):
@@ -146,19 +149,54 @@ def laurent_scalars():
     return st.builds(build, st.lists(st.tuples(exps, gauss_rationals()), max_size=3), exps)
 
 
+def constants():
+    small = st.integers(min_value=-6, max_value=6)
+    return st.one_of(small, st.builds(Fraction, small, st.integers(min_value=1, max_value=6)),
+                     gauss_rationals())
+
+
+def _field_conjugate(frac):
+    """I -> -I on a field element, reduced again by the field itself."""
+    def conj(p):
+        return p.ring.from_dict({m: QQ_I.new(c.x, -c.y) for m, c in p.terms()})
+    return frac.field.new(conj(frac.numer), conj(frac.denom))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(laurent_scalars(), param_scalars()), laurent_scalars())
-def test_monomial_denominator_fast_path_matches_field(a, b):
+@given(st.one_of(laurent_scalars(), param_scalars()), laurent_scalars(), constants())
+def test_monomial_denominator_fast_path_matches_field(a, b, c):
     # differential test: each result must be the very canonical pair that
     # sympy's fraction field gives, not merely an equal value
     fa, fb = a._frac(), b._frac()
+    gc = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    field_c = fa.field.ground_new(QQ_I.new(QQ(gc.re.numerator, gc.re.denominator),
+                                           QQ(gc.im.numerator, gc.im.denominator)))
     cases = [(a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa), (1 - a, 1 - fa),
-             (a * b, fa * fb), (-a, -fa)]
+             (a * b, fa * fb), (-a, -fa),
+             (ParamScalar(c), field_c), (a.conjugate(), _field_conjugate(fa))]
     for got, frac in cases:
         want = ParamScalar._raw(frac)
         assert (got._num, got._den) == (want._num, want._den)
         assert hash(got) == hash(want)
         assert got.render() == want.render()
+
+
+def test_constants_and_conjugates_run_no_gcd(monkeypatch):
+    # a constant is already the canonical pair c/1, and conjugation keeps a
+    # pair canonical, so neither may reach the fraction field's cancel
+    def cancel(*args):
+        raise AssertionError("GCD on a route that cannot need one")
+
+    monkeypatch.setattr(PolyElement, "cancel", cancel)
+    assert ParamScalar(3).render() == "3"
+    assert ParamScalar(Fraction(1, 2)).render() == "1/2"
+    assert (LAM * 3).render() == "3*lam"
+    assert G.conjugate() == G
+    assert variable(0).scale(2).render() == "2*z"
+    # exactness guard: no floats, no strings
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            ParamScalar(bad)
 
 
 def test_render_examples():
