@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, I, ONE, scalar
-from .weyl import (SPACE_ZZB, SPACE_UVW, variable, derivative, identity_op)
+from .weyl import (WeylOperator, SPACE_ZZB, SPACE_UVW, variable, derivative,
+                   identity_op)
 from . import operators as _ops
 
 __all__ = ["parse", "render", "evaluate", "ExprError", "Node"]
@@ -274,108 +275,69 @@ _GENERATORS = {
     "du": (SPACE_UVW, derivative, 0), "dv": (SPACE_UVW, derivative, 1),
     "dw": (SPACE_UVW, derivative, 2),
 }
+_SCALARS = {"lam": LAM, "g": G, "I": I}
 
 
-class _Value:
-    """Either a pure scalar or an operator; promotion happens on demand."""
-
-    __slots__ = ("scalar", "op")
-
-    def __init__(self, scalar_val=None, op=None):
-        self.scalar = scalar_val
-        self.op = op
-
-    @property
-    def is_scalar(self):
-        return self.op is None
-
-    def as_op(self, space=None):
-        if self.op is not None:
-            return self.op
-        return identity_op(space or SPACE_ZZB).scale(self.scalar)
+def _as_op(value, space=SPACE_ZZB) -> WeylOperator:
+    """An operator as it is; a scalar as a multiple of the identity of ``space``."""
+    return value if isinstance(value, WeylOperator) else identity_op(space).scale(value)
 
 
-def _space_of(a: _Value, b: _Value):
-    spaces = {v.op.space for v in (a, b) if v.op is not None}
+def _common_space(a, b):
+    """The space of the operators among ``a`` and ``b`` (the model space when
+    both are scalars); two different spaces are an error."""
+    spaces = {v.space for v in (a, b) if isinstance(v, WeylOperator)}
     if len(spaces) > 1:
         raise ExprError("operator spaces differ in one expression", 0)
-    return spaces.pop() if spaces else None
+    return spaces.pop() if spaces else SPACE_ZZB
 
 
-def _add(a: _Value, b: _Value) -> _Value:
-    if a.is_scalar and b.is_scalar:
-        return _Value(a.scalar + b.scalar)
-    sp = _space_of(a, b)
-    return _Value(op=a.as_op(sp) + b.as_op(sp))
-
-
-def _mul(a: _Value, b: _Value) -> _Value:
-    if a.is_scalar and b.is_scalar:
-        return _Value(a.scalar * b.scalar)
-    if a.is_scalar:
-        return _Value(op=b.op.scale(a.scalar))
-    if b.is_scalar:
-        return _Value(op=a.op.scale(b.scalar))
-    return _Value(op=a.op * b.op)
-
-
-def _evaluate(node: Node) -> _Value:
+def _evaluate(node: Node):
+    """A ParamScalar or a WeylOperator; the operands' own arithmetic lifts a
+    scalar into the space of the operator it meets."""
     if node.kind == "scalar":
-        return _Value(scalar(node.value))
+        return scalar(node.value)
     if node.kind == "name":
         nm = node.name
-        if nm == "lam":
-            return _Value(LAM)
-        if nm == "g":
-            return _Value(G)
-        if nm == "I":
-            return _Value(I)
+        if nm in _SCALARS:
+            return _SCALARS[nm]
         if nm == "Dp":
             from .jordan import d_p
-            return _Value(op=d_p(node.arg))
+            return d_p(node.arg)
         if nm in _GENERATORS:
             space, build, idx = _GENERATORS[nm]
-            return _Value(op=build(idx, space))
-        return _Value(op=_ops.op(nm))
+            return build(idx, space)
+        return _ops.op(nm)
     if node.kind == "neg":
-        v = _evaluate(node.children[0])
-        return _Value(-v.scalar) if v.is_scalar else _Value(op=-v.op)
+        return -_evaluate(node.children[0])
     if node.kind == "sum":
         acc = _evaluate(node.children[0])
         for ch in node.children[1:]:
-            acc = _add(acc, _evaluate(ch))
+            term = _evaluate(ch)
+            _common_space(acc, term)
+            acc = acc + term
         return acc
     if node.kind == "product":
         acc = _evaluate(node.children[0])
         for ch in node.children[1:]:
-            acc = _mul(acc, _evaluate(ch))
+            acc = acc * _evaluate(ch)
         return acc
     if node.kind == "div":
         a = _evaluate(node.children[0])
         b = _evaluate(node.children[1])
-        if not b.is_scalar:
+        if not isinstance(b, ParamScalar):
             raise ExprError("division requires a scalar divisor", 0)
-        if b.scalar.is_zero():
+        if b.is_zero():
             raise ExprError("division by zero", 0)
-        if a.is_scalar:
-            return _Value(a.scalar / b.scalar)
-        return _Value(op=a.op.scale(ONE / b.scalar))
+        return a / b if isinstance(a, ParamScalar) else a.scale(ONE / b)
     if node.kind == "power":
-        base = _evaluate(node.children[0])
-        n = int(node.value)
-        if base.is_scalar:
-            return _Value(base.scalar ** n)
-        return _Value(op=base.op ** n)
-    if node.kind == "bracket":
+        return _evaluate(node.children[0]) ** int(node.value)
+    if node.kind in ("bracket", "antibracket"):
         a = _evaluate(node.children[0])
         b = _evaluate(node.children[1])
-        sp = _space_of(a, b)
-        return _Value(op=a.as_op(sp).commutator(b.as_op(sp)))
-    if node.kind == "antibracket":
-        a = _evaluate(node.children[0])
-        b = _evaluate(node.children[1])
-        sp = _space_of(a, b)
-        return _Value(op=a.as_op(sp).anticommutator(b.as_op(sp)))
+        space = _common_space(a, b)
+        a, b = _as_op(a, space), _as_op(b, space)
+        return a.commutator(b) if node.kind == "bracket" else a.anticommutator(b)
     raise ValueError(f"unknown node kind {node.kind!r}")
 
 
@@ -383,14 +345,13 @@ def evaluate(text_or_node):
     """Evaluate an expression to a WeylOperator (scalars become multiples of
     the identity in the model space)."""
     node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
-    val = _evaluate(node)
-    return val.as_op()
+    return _as_op(_evaluate(node))
 
 
 def evaluate_scalar(text_or_node) -> ParamScalar:
     """Evaluate an expression that must be a pure scalar."""
     node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
     val = _evaluate(node)
-    if not val.is_scalar:
+    if not isinstance(val, ParamScalar):
         raise ExprError("expected a scalar expression", 0)
-    return val.scalar
+    return val

@@ -139,6 +139,23 @@ class SparseTerms:
             acc = acc * self
         return acc
 
+    def substitute(self, images):
+        """The homomorphism that sends generator i to images[i] (all of one
+        class and space), applied monomial by monomial in generator order."""
+        unit = images[0]._new({images[0]._UNIT: ONE})
+        powers = [[unit, image] for image in images]
+        out = images[0]._new({})
+        for mono, coeff in self.terms.items():
+            term = None
+            for i, e in enumerate(mono):
+                if e:
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * images[i])
+                    term = row[e] if term is None else term * row[e]
+            out = out + (unit if term is None else term).scale(coeff)
+        return out
+
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -155,9 +172,6 @@ class SparseTerms:
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
-
-    def coefficient(self, mono) -> ParamScalar:
-        return self.terms.get(tuple(mono), ZERO)
 
     # -- presentation -------------------------------------------------------
 
@@ -220,7 +234,9 @@ class WeylOperator(SparseTerms):
                         add = c12 if k == 1 else c12 * k
                         out[m] = add if cur is None else cur + add
             return self._new(out)
-        return self.scale(other)
+        if isinstance(other, (int, ParamScalar)):
+            return self.scale(other)
+        return NotImplemented
 
     def commutator(self, other) -> "WeylOperator":
         return self * other - other * self
@@ -383,23 +399,7 @@ class Poly3(SparseTerms):
                 out[m2] = add if cur is None else cur + add
         return self._new(out)
 
-    def substitute(self, images) -> "Poly3":
-        """Substitute variable i by the polynomial images[i] (all in one
-        common target space); exact expansion."""
-        space = images[0].space
-        pow_cache = [{0: Poly3({(0, 0, 0): ONE}, space)} for _ in range(3)]
-
-        def power(i, e):
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        out = Poly3({}, space)
-        for m, c in self.terms.items():
-            term = power(0, m[0]) * power(1, m[1]) * power(2, m[2])
-            out = out + term.scale(c)
-        return out
+    substitute = SparseTerms.substitute
 
     def swap01(self) -> "Poly3":
         """Exchange the first two variables (the x2-parity action on zzb)."""

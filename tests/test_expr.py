@@ -66,6 +66,20 @@ def test_space_mixing_rejected():
         E.evaluate("H + Dp(1)")
 
 
+def test_scalars_are_promoted_into_the_operator_space():
+    from quadosc.weyl import SPACE_UVW, SPACE_ZZB, identity_op, variable
+    assert E.evaluate("2 + u") == identity_op(SPACE_UVW).scale(2) + variable(0, SPACE_UVW)
+    bracket = E.evaluate("[lam,u]")
+    assert bracket.is_zero() and bracket.space == SPACE_UVW
+    assert E.evaluate("{2,H}") == ops.op("H").scale(4)
+    assert E.evaluate("lam").space == SPACE_ZZB
+
+
+def test_product_across_spaces_raises_the_algebra_error():
+    with pytest.raises(ValueError, match="^spaces differ: uvw vs zzb$"):
+        E.evaluate("u*H")
+
+
 def test_errors_carry_position():
     with pytest.raises(E.ExprError) as err:
         E.parse("H + + A+")

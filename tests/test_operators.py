@@ -86,6 +86,17 @@ def test_boson_ccr_value():
     assert b["a1-"].commutator(b["a2+"]).is_zero()
 
 
+def test_plain_operator_meets_boson_element_from_either_side():
+    # a catalogue operator is lifted by the extension's own arithmetic
+    b = ops.boson()
+    e11, a1p = ops.op("E11"), b["a1+"]
+    lifted = ops.SqrtTwoLamOperator.of(e11)
+    assert e11 * a1p == lifted * a1p
+    assert a1p * e11 == a1p * lifted
+    assert e11.commutator(a1p) == lifted.commutator(a1p)
+    assert not e11.commutator(a1p).is_zero()
+
+
 def test_sqrt_extension_ring():
     s = ops.SqrtTwoLamOperator.s_times(identity_op())
     assert s * s == ops.SqrtTwoLamOperator.of(identity_op().scale(2 * LAM))
