@@ -416,8 +416,8 @@ def verify_cross_block_orthogonality(max_k: int = 2, max_n: int = 2) -> list:
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             pairs.append((a, b))
-    if ((1, 0), (0, 2)) not in pairs and ((0, 2), (1, 0)) not in pairs:
-        pairs.append(((1, 0), (0, 2)))
+    if ((0, 2), (1, 0)) not in pairs:
+        pairs.append(((0, 2), (1, 0)))
     for (k1, n1), (k2, n2) in pairs:
         degenerate = 2 * k1 + n1 == 2 * k2 + n2
         ok = True

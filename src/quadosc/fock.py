@@ -9,7 +9,7 @@ The two engines are deliberately unrelated:
 
 * :func:`wick_inner` contracts creation words against each other with the
   constant cross-brackets of the letters, reducing each monomial pairing to a
-  signed matrix permanent (Ryser inclusion-exclusion).
+  signed matrix permanent, summed over tables of letter-pair counts.
 * :func:`gaussian_moment_inner` works directly with wavefunctions: it expands
   the integrand over real coordinates and evaluates formal Gaussian moments
   from the exact inverse of the quadratic-form matrix.
@@ -19,7 +19,9 @@ Their agreement on a sweep of states is one of the acceptance criteria.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import product
 
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from .weyl import (Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
@@ -28,7 +30,7 @@ from . import operators as _ops
 
 __all__ = [
     "CreationPolynomial", "contraction_matrix", "expand_q_power",
-    "wick_inner", "gaussian_moment_inner", "eta_apply", "to_gaussian_state",
+    "wick_inner", "gaussian_moment_inner", "to_gaussian_state",
     "gaussian_state_to_creation", "creation_to_uvw", "uvw_to_creation",
     "uvw_poly_to_zzb", "zzb_poly_to_uvw", "verify_contraction_matrix",
 ]
@@ -122,52 +124,47 @@ def verify_contraction_matrix() -> list:
 # Wick engine
 # ---------------------------------------------------------------------------
 
-def _letters(word):
-    i, j, l = word
-    return ("A",) * i + ("B",) * j + ("C",) * l
-
-
-def _permanent(rows):
-    """Exact permanent by Ryser inclusion-exclusion with Gray-code updates."""
-    p = len(rows)
-    if p == 0:
-        return ONE
-    sums = [ZERO] * p
-    total = ZERO
-    gray = 0
-    sign_total = -1 if p % 2 else 1
-    for k in range(1, 1 << p):
-        new_gray = k ^ (k >> 1)
-        bit = gray ^ new_gray
-        col = bit.bit_length() - 1
-        if new_gray & bit:
-            sums = [s + row[col] for s, row in zip(sums, rows)]
-        else:
-            sums = [s - row[col] for s, row in zip(sums, rows)]
-        gray = new_gray
-        prod = ONE
-        for s in sums:
-            prod = prod * s
-        bits = gray.bit_count()
-        term = prod if bits % 2 == 0 else -prod
-        total = total + term
-    return total if sign_total == 1 else -total
+def _pair_tables(rows, cols, K):
+    """The 3x3 tables of letter-pair counts with the given row and column
+    sums, leaving out those with a count on a zero entry of K (they weigh 0)."""
+    free = [range(1) if K[x][y].is_zero() else range(min(rows[x], cols[y]) + 1)
+            for x in range(2) for y in range(2)]
+    for t00, t01, t10, t11 in product(*free):
+        table = [[t00, t01, rows[0] - t00 - t01], [t10, t11, rows[1] - t10 - t11]]
+        table.append([cols[y] - table[0][y] - table[1][y] for y in range(3)])
+        if all(t == 0 or (t > 0 and not K[x][y].is_zero())
+               for x, row in enumerate(table) for y, t in enumerate(row)):
+            yield table
 
 
 @lru_cache(maxsize=None)
 def _word_inner(bra, ket) -> ParamScalar:
-    lb, lk = _letters(bra), _letters(ket)
-    if len(lb) != len(lk):
+    """Pairing of two creation words: (-1)^d times the permanent of their
+    d x d contraction matrix.  Its rows and columns repeat only three letters,
+    so the permanent is MacMahon's sum over the letter-pair tables T with row
+    sums ``bra`` and column sums ``ket``: T stands for
+    prod r! * prod c! / prod T! permutations, each weighing prod K[x,y]^T[x,y].
+    """
+    d = sum(bra)
+    if d != sum(ket):
         return ZERO
-    K = contraction_matrix()
-    rows = [[K[(x, y)] for y in lk] for x in lb]
-    value = _permanent(rows)
-    return -value if len(lb) % 2 else value
+    K = [[contraction_matrix()[(x, y)] for y in _LETTERS] for x in _LETTERS]
+    margins = math.prod(math.factorial(n) for n in bra + ket)
+    total = ZERO
+    for table in _pair_tables(bra, ket, K):
+        count, weight = margins, ONE
+        for x, row in enumerate(table):
+            for y, t in enumerate(row):
+                if t:
+                    count //= math.factorial(t)
+                    weight = weight * K[x][y] ** t
+        total = total + count * weight
+    return -total if d % 2 else total
 
 
 def wick_inner(bra: CreationPolynomial, ket: CreationPolynomial) -> ParamScalar:
     """<<bra Psi0 | ket Psi0>> in units of <<Psi0 | Psi0>>, by contraction
-    permanents; symmetric and bilinear."""
+    permanents summed over letter-pair tables; symmetric and bilinear."""
     total = ZERO
     for wb, cb in bra.terms.items():
         for wk, ck in ket.terms.items():
@@ -182,7 +179,6 @@ def expand_q_power(k: int) -> CreationPolynomial:
     factorized form 2 A+ B+ - (C+)^2."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    import math
     out = {}
     for j in range(k + 1):
         coeff = scalar(math.comb(k, j)) * scalar(2) ** j * scalar(-1) ** (k - j)
@@ -353,15 +349,6 @@ def _moment(e) -> ParamScalar:
 def _x123_images():
     x1, x2, x3 = (poly_var(i, SPACE_X123) for i in range(3))
     return (x1 + x2.scale(I), x1 + x2.scale(-I), x3)
-
-
-def eta_apply(s: GaussianState) -> GaussianState:
-    """Parity image of a state: the partner function on the adjoint side.
-
-    Swaps the conjugate pair of variables in both the polynomial part and the
-    Gaussian weight; applying it twice is the identity.
-    """
-    return s.eta_apply()
 
 
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:

@@ -95,10 +95,21 @@ class VerificationReport:
 
 
 def merge_reports(dicts) -> dict:
-    """Merge previously written report documents into a single one."""
+    """Merge previously written report documents into a single one; raises
+    ValueError for input that is not shaped like a report."""
     merged = VerificationReport("merged")
     for doc in dicts:
+        if not isinstance(doc, dict) or not isinstance(doc.get("records", []), list):
+            raise ValueError("a report must be a JSON object with a list of records")
         for entry in doc.get("records", []):
+            if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                    and entry.get("status") in ("verified", "failed")
+                    and all(isinstance(entry.get(k, ""), str)
+                            for k in ("suite", "anchor", "residual", "note"))
+                    and type(entry.get("ms", 0)) in (int, float)):
+                raise ValueError("each record needs a string id, a status of 'verified'"
+                                 " or 'failed', text fields that are strings and a"
+                                 " numeric ms")
             rec = IdentityRecord(
                 id=entry["id"], anchor=entry.get("anchor", ""),
                 status=entry["status"], residual=entry.get("residual", ""),

@@ -62,6 +62,15 @@ def test_degenerate_cross_block_values():
     assert fock.gaussian_moment_inner(s1, s2) == scalar(-8) * G * G
 
 
+@pytest.mark.parametrize("bounds", [(0, 0), (1, 1)])
+def test_small_bounds_keep_the_pinned_red_record(bounds):
+    # below (2, 2) the degenerate pair is appended by hand; its id and its
+    # residual are the ones pinned at the default bounds
+    failed = [(r.id, r.residual)
+              for r in B.verify_cross_block_orthogonality(*bounds) if not r.ok]
+    assert failed == [("biortho/cross-0-2-x-1-0", "m=4 x m'=0: -8*g^2")]
+
+
 def test_nondegenerate_cross_blocks_vanish():
     for (k1, n1), (k2, n2) in (((0, 0), (0, 1)), ((0, 1), (0, 2)), ((1, 0), (0, 1)),
                                ((1, 0), (2, 0)), ((0, 1), (1, 1))):

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, report determinism."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -122,6 +123,22 @@ def test_report_merge_failed_records_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("doc", [
+    [],                                                         # not an object
+    {"records": [{"status": "verified"}]},                      # record without id
+    {"records": [{"id": "x/y", "status": "weird"}]},            # status outside the enum
+    {"records": [{"id": "x/y", "status": "verified", "ms": "x"}]},  # ms not a number
+])
+def test_report_merge_rejects_malformed_input(tmp_path, capsys, doc):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    out_path = tmp_path / "merged.json"
+    code, _, err = run(capsys, "report", "--merge", "--out", str(out_path), str(src))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["tabulate"]) == 2
@@ -200,3 +217,7 @@ def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
     assert failed == [("biortho", "biortho/cross-0-2-x-1-0", "m=4 x m'=0: -8*g^2")]
     assert doc["summary"]["failed"] == 1
     assert code == 1
+    # the refactor gate: the report's bytes are pinned; an intentional report
+    # change updates this digest and perfbench/reference/ together
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "b5f4ca513d5f580d374fe85e3d7f6fe3044e155c65b4e3cbfe8c401a2917f671"

@@ -27,12 +27,70 @@ def permanent_oracle(rows):
     return total
 
 
+def ryser_permanent(rows):
+    """Exact permanent by Ryser inclusion-exclusion with Gray-code updates."""
+    p = len(rows)
+    if p == 0:
+        return ONE
+    sums = [ZERO] * p
+    total = ZERO
+    gray = 0
+    sign_total = -1 if p % 2 else 1
+    for k in range(1, 1 << p):
+        new_gray = k ^ (k >> 1)
+        bit = gray ^ new_gray
+        col = bit.bit_length() - 1
+        if new_gray & bit:
+            sums = [s + row[col] for s, row in zip(sums, rows)]
+        else:
+            sums = [s - row[col] for s, row in zip(sums, rows)]
+        gray = new_gray
+        prod = ONE
+        for s in sums:
+            prod = prod * s
+        bits = gray.bit_count()
+        term = prod if bits % 2 == 0 else -prod
+        total = total + term
+    return total if sign_total == 1 else -total
+
+
+def contraction_rows(bra, ket):
+    """The explicit d x d contraction matrix of two creation words."""
+    def letters(word):
+        return [x for x, n in zip("ABC", word) for _ in range(n)]
+    K = fock.contraction_matrix()
+    return [[K[(x, y)] for y in letters(ket)] for x in letters(bra)]
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
 def test_ryser_against_permutation_sum(size):
     vals = [ZERO, ONE, LAM, G, -LAM, scalar(2) * G]
     rows = [[vals[(3 * i + 5 * j + i * j) % len(vals)] for j in range(size)]
             for i in range(size)]
-    assert fock._permanent(rows) == permanent_oracle(rows)
+    assert ryser_permanent(rows) == permanent_oracle(rows)
+
+
+def word_pairs(max_deg):
+    """Two creation words of one common degree <= max_deg."""
+    def word(d):
+        return st.integers(0, d).flatmap(
+            lambda i: st.integers(0, d - i).map(lambda j: (i, j, d - i - j)))
+    return st.integers(0, max_deg).flatmap(lambda d: st.tuples(word(d), word(d)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(word_pairs(8))
+def test_word_inner_matches_ryser(pair):
+    # letter-pair tables against the explicit permanent of the contraction rows
+    bra, ket = pair
+    value = ryser_permanent(contraction_rows(bra, ket))
+    assert fock._word_inner(bra, ket) == (-value if sum(bra) % 2 else value)
+
+
+def test_word_inner_edge_cases():
+    assert fock._word_inner((0, 0, 0), (0, 0, 0)) == ONE
+    assert fock._word_inner((1, 1, 0), (0, 0, 1)) == ZERO
+    assert fock._word_inner((0, 0, 0), (0, 2, 1)) == ZERO
 
 
 def test_contraction_table_cross_validates():
@@ -162,9 +220,9 @@ def test_h_symmetry_of_the_form(p, q):
 
 def test_eta_apply_function():
     s = fock.to_gaussian_state(CreationPolynomial.word(1, 0, 0))
-    flipped = fock.eta_apply(s)
+    flipped = s.eta_apply()
     assert flipped.poly.terms == {(1, 0, 0): -2 * LAM}   # zb became z
-    assert fock.eta_apply(flipped) == s
+    assert flipped.eta_apply() == s
 
 
 def test_round_trip_uvw_creation():
