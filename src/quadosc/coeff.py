@@ -1,31 +1,46 @@
 """Exact scalar arithmetic for the model coefficients.
 
-Every coefficient in the oscillator algebra lives in the field of rational
-functions in the two real model parameters ``lam`` and ``g``, with Gaussian
-rational (a + b*I) coefficients.  All arithmetic is exact; there is no
-floating point anywhere in this package.
+Every coefficient in the oscillator algebra lives in the field Q(i)(lam, g)
+of rational functions in the two real model parameters ``lam`` and ``g``,
+with Gaussian rational (a + b*I) coefficients.  All arithmetic is exact;
+there is no floating point anywhere in this package.
 
-Canonical form: numerator and denominator are coprime, the denominator is
-monic under graded lexicographic order with lam > g, and zero is stored as
-0/1.  Values are immutable and hashable.
+Representation.  A value is a pair of sparse maps from exponent pairs
+``(e_lam, e_g)`` to Gaussian integers ``(re, im)``, all plain Python ints:
 
-Sums, differences and products of two values whose denominators are
-monomials lam^a*g^b (every value the suites build) skip the general GCD:
-the only common factor such a denominator can share with a numerator is a
-monomial, which is divided out directly.  The result is the same canonical
-pair the general route gives.  Constants, conjugates and the generators
-``lam`` and ``g`` are canonical pairs as built, so they never enter the
-fraction field either; only division, powers and non-monomial denominators
-take the general route.
+* ``_num`` is a Laurent polynomial: a negative exponent carries a monomial
+  denominator lam^a*g^b;
+* ``_den`` is a polynomial divisible by neither lam nor g.
+
+Canonical form: ``_num`` and ``_den`` share no factor but units and
+monomials, the leading coefficient of ``_den`` under graded lexicographic
+order with lam > g is a positive integer, and the integers of both maps have
+no common divisor.  So every value has one representation, and zero is
+``{}`` over ``{(0, 0): (1, 0)}``.  A monomial denominator, the only kind the
+suites build, leaves ``_den`` the constant ``{(0, 0): (d, 0)}``, so
+``len(_den) == 1`` exactly when the denominator is a monomial.  Values are
+immutable and hashable, and a constant hashes like its ``GaussianRational``
+(a real one like its ``Fraction``).
+
+Arithmetic.  ``+``, ``-``, ``*``, powers, conjugation and division by a unit
+times a monomial stay in this Laurent ring: integer products and sums, then
+one ``math.gcd`` pass over the coefficients.  Powers square repeatedly.
+None of this imports sympy.  An operation with an operand whose denominator
+is not a monomial, a division by anything but a unit times a monomial, and a
+negative power of such a value take sympy's fraction field over QQ_I, which
+is imported on the first such operation: only these need a polynomial GCD,
+as in ``(lam^2-g^2)/(lam-g)`` or ``H/(lam+g)`` on the command line.
+
+``render``, ``evaluate`` and ``_frac`` read the classical pair: numerator
+and monic denominator with nonnegative exponents, coprime.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.fields import field as _field
+from math import gcd, lcm
 
 __all__ = ["GaussianRational", "ParamScalar", "LAM", "G", "I", "ZERO", "ONE"]
 
@@ -36,6 +51,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"GaussianRational parts must be int or Fraction, not {part!r}")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -87,7 +105,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return _gauss_hash(self.re, self.im)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -105,6 +123,22 @@ def _as_gauss(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     raise TypeError(f"cannot interpret {x!r} as GaussianRational")
+
+
+def _gauss_hash(re: Fraction, im: Fraction) -> int:
+    """A real value hashes like its Fraction, so like an equal int."""
+    return hash((re, im)) if im else hash(re)
+
+
+def _gauss_pow(z: GaussianRational, e: int) -> GaussianRational:
+    out = GaussianRational(1)
+    while e:
+        if e & 1:
+            out = out * z
+        e >>= 1
+        if e:
+            z = z * z
+    return out
 
 
 def _render_fraction(q: Fraction) -> str:
@@ -131,52 +165,64 @@ def _render_gauss(c: GaussianRational, wrap: bool = True) -> str:
     return f"({s})" if wrap else s
 
 
-# Shared ground field: rational functions in (lam, g) over QQ_I, grlex, lam > g.
-_FIELD = _field("lam,g", QQ_I, order="grlex")[0]
-_RING = _FIELD.ring
-_ONE_POLY = _RING.one
-_ZERO_POLY = _RING.zero
+# -- the Laurent ring: maps (e_lam, e_g) -> (re, im) -------------------------
+
+_UNIT = (0, 0)
+_ONE_DEN = {_UNIT: (1, 0)}   # shared denominator of every value over 1; never mutated
 
 
-def _gauss_to_dom(c: GaussianRational):
-    return QQ_I.new(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+def _grlex(m):
+    """Sort key of graded lexicographic order with lam > g."""
+    return (m[0] + m[1], m[0])
+
+
+def _mul_terms(n1, n2):
+    """The product of two Laurent maps."""
+    out = {}
+    for (a, b), (x, y) in n1.items():
+        for (p, q), (u, v) in n2.items():
+            m = (a + p, b + q)
+            re, im = x * u - y * v, x * v + y * u
+            cur = out.get(m)
+            if cur is not None:
+                re += cur[0]
+                im += cur[1]
+            out[m] = (re, im)
+    if len(out) < len(n1) * len(n2):
+        # terms collided, so some may cancel; Z[i] has no zero divisors,
+        # so without a collision nothing does
+        out = {m: c for m, c in out.items() if c[0] or c[1]}
+    return out
+
+
+def _new(num, den) -> "ParamScalar":
+    """Wrap a pair that is already canonical."""
+    self = object.__new__(ParamScalar)
+    _SET_NUM(self, num)
+    _SET_DEN(self, den)
+    return self
+
+
+def _laurent(num, d: int) -> "ParamScalar":
+    """The canonical value num/d of a Laurent map num and an integer d > 0."""
+    if d != 1:
+        g = d
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            num = {m: (re // g, im // g) for m, (re, im) in num.items()}
+            d //= g
+    return _new(num, _ONE_DEN if d == 1 else {_UNIT: (d, 0)})
 
 
 @lru_cache(maxsize=None)
-def _monomial(e_lam: int, e_g: int):
-    """The monic monomial lam^e_lam * g^e_g as a ring element (shared, never mutated)."""
-    return _RING({(e_lam, e_g): QQ_I.one})
-
-
-def _den_exps(den):
-    """(e_lam, e_g) when `den` (monic) is the monomial lam^e_lam*g^e_g, else None."""
-    if len(den) != 1:
-        return None
-    (m,) = den.keys()
-    return m
-
-
-def _shift(p, d_lam: int, d_g: int):
-    """p * lam^d_lam * g^d_g for d_lam, d_g >= 0."""
-    if not (d_lam or d_g):
-        return p
-    return p.new([((a + d_lam, b + d_g), c) for (a, b), c in p.items()])
-
-
-def _over_monomial(num, e_lam: int, e_g: int) -> "ParamScalar":
-    """Canonical num / (lam^e_lam * g^e_g): divide out the common monomial."""
-    if not num:
-        return ParamScalar._make(_ZERO_POLY, _ONE_POLY)
-    c_lam = min(e_lam, min(a for a, _ in num))
-    c_g = min(e_g, min(b for _, b in num))
-    if c_lam or c_g:
-        num = num.new([((a - c_lam, b - c_g), c) for (a, b), c in num.items()])
-    return ParamScalar._make(num, _monomial(e_lam - c_lam, e_g - c_g))
-
-
-def _dom_to_gauss(c) -> GaussianRational:
-    return GaussianRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
-                            Fraction(int(c.y.numerator), int(c.y.denominator)))
+def _sympy_field():
+    """sympy's Q(i)(lam, g) with grlex order, lam > g; imported on first use."""
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.fields import field
+    return field("lam,g", QQ_I, order="grlex")[0]
 
 
 class ParamScalar:
@@ -188,64 +234,111 @@ class ParamScalar:
         if isinstance(value, ParamScalar):
             num, den = value._num, value._den
         else:
-            num, den = _RING.ground_new(_gauss_to_dom(_as_gauss(value))), _ONE_POLY
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
+            c = _as_gauss(value)
+            d = lcm(c.re.denominator, c.im.denominator)
+            num = {_UNIT: (c.re.numerator * (d // c.re.denominator),
+                           c.im.numerator * (d // c.im.denominator))} if c else {}
+            den = _ONE_DEN if d == 1 else {_UNIT: (d, 0)}
+        _SET_NUM(self, num)
+        _SET_DEN(self, den)
 
     @classmethod
     def _raw(cls, frac):
-        num, den = frac.numer, frac.denom
-        lc = den.LC
-        if lc != QQ_I.one:
-            num = num.quo_ground(lc)
-            den = den.quo_ground(lc)
-        return cls._make(num, den)
+        """The canonical value of an element of sympy's field, whose
+        numerator and denominator the field keeps coprime."""
+        def terms(p):
+            return {m: (Fraction(int(c.x.numerator), int(c.x.denominator)),
+                        Fraction(int(c.y.numerator), int(c.y.denominator)))
+                    for m, c in p.items()}
 
-    @classmethod
-    def _make(cls, num, den):
-        """Wrap a pair that is already canonical."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
-        return self
+        num, den = terms(frac.numer), terms(frac.denom)
+        # times the conjugate of den's leading coefficient, which turns it
+        # real and positive; then to coprime integers, and den's monomial
+        # factor into num's exponents
+        x0, y0 = den[max(den, key=_grlex)]
+        num = {m: (x * x0 + y * y0, y * x0 - x * y0) for m, (x, y) in num.items()}
+        den = {m: (x * x0 + y * y0, y * x0 - x * y0) for m, (x, y) in den.items()}
+        parts = [q for side in (num, den) for c in side.values() for q in c]
+        scale = lcm(*(q.denominator for q in parts))
+        content = gcd(*(q.numerator * (scale // q.denominator) for q in parts))
+        s_lam = min(a for a, _ in den)
+        s_g = min(b for _, b in den)
+
+        def ints(terms):
+            return {(a - s_lam, b - s_g): (int(x * scale) // content, int(y * scale) // content)
+                    for (a, b), (x, y) in terms.items()}
+
+        return _new(ints(num), ints(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamScalar is immutable")
 
     def _frac(self):
-        return _FIELD.raw_new(self._num, self._den)
+        """This value as an element of sympy's field."""
+        field = _sympy_field()
+        ring = field.ring
+        dom = ring.domain
+        qq = dom.dom
+
+        def poly(terms):
+            return ring.from_dict({m: dom.new(qq(c.re.numerator, c.re.denominator),
+                                              qq(c.im.numerator, c.im.denominator))
+                                   for m, c in terms})
+
+        num, den = self._parts()
+        return field.raw_new(poly(num), poly(den))
 
     # -- arithmetic ---------------------------------------------------------
+    # A value over a monomial has len(_den) == 1 and the integer
+    # denominator _den[_UNIT][0]; any other operand takes sympy's field.
 
     def _plus(self, other, sign: int):
         """self + sign*other."""
-        e1, e2 = _den_exps(self._den), _den_exps(other._den)
-        if e1 is None or e2 is None:
-            if sign > 0:
-                return ParamScalar._raw(self._frac() + other._frac())
-            return ParamScalar._raw(self._frac() - other._frac())
-        e_lam, e_g = max(e1[0], e2[0]), max(e1[1], e2[1])
-        n1 = _shift(self._num, e_lam - e1[0], e_g - e1[1])
-        n2 = _shift(other._num, e_lam - e2[0], e_g - e2[1])
-        return _over_monomial(n1 + n2 if sign > 0 else n1 - n2, e_lam, e_g)
+        den1, den2 = self._den, other._den
+        if len(den1) != 1 or len(den2) != 1:
+            return _via_field(operator.add if sign > 0 else operator.sub, self, other)
+        n1, n2 = self._num, other._num
+        if not n2:
+            return self
+        d1, d2 = den1[_UNIT][0], den2[_UNIT][0]
+        if d1 == d2:
+            s1, s2, d = 1, sign, d1
+        else:
+            g = gcd(d1, d2)
+            s1, s2 = d2 // g, sign * (d1 // g)
+            d = d1 * s1
+        out = dict(n1) if s1 == 1 else {m: (x * s1, y * s1) for m, (x, y) in n1.items()}
+        for m, (u, v) in n2.items():
+            if s2 != 1:
+                u, v = u * s2, v * s2
+            cur = out.get(m)
+            if cur is None:
+                out[m] = (u, v)
+            else:
+                re, im = cur[0] + u, cur[1] + v
+                if re or im:
+                    out[m] = (re, im)
+                else:
+                    del out[m]
+        return _laurent(out, d)
 
     def __add__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not ParamScalar:
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar._make(-self._num, self._den)
+        return _new({m: (-x, -y) for m, (x, y) in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not ParamScalar:
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
@@ -255,13 +348,17 @@ class ParamScalar:
         return other._plus(self, -1)
 
     def __mul__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        e1, e2 = _den_exps(self._den), _den_exps(other._den)
-        if e1 is None or e2 is None:
-            return ParamScalar._raw(self._frac() * other._frac())
-        return _over_monomial(self._num * other._num, e1[0] + e2[0], e1[1] + e2[1])
+        den = self._den
+        if other.__class__ is not ParamScalar:
+            if other.__class__ is int and len(den) == 1:
+                num = {m: (x * other, y * other) for m, (x, y) in self._num.items()}
+                return _laurent(num if other else {}, den[_UNIT][0])
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
+        if len(den) != 1 or len(other._den) != 1:
+            return _via_field(operator.mul, self, other)
+        return _laurent(_mul_terms(self._num, other._num), den[_UNIT][0] * other._den[_UNIT][0])
 
     __rmul__ = __mul__
 
@@ -271,7 +368,11 @@ class ParamScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("ParamScalar division by zero")
-        return ParamScalar._raw(self._frac() / other._frac())
+        inverse = other._unit_inverse()
+        if inverse is None or len(self._den) != 1:
+            return _via_field(operator.truediv, self, other)
+        num, d = inverse
+        return _laurent(_mul_terms(self._num, num), self._den[_UNIT][0] * d)
 
     def __rtruediv__(self, other):
         other = _as_scalar(other)
@@ -279,14 +380,36 @@ class ParamScalar:
             return NotImplemented
         return other / self
 
+    def _unit_inverse(self):
+        """(num, d) with 1/self = num/d when self is a nonzero unit times a
+        monomial, else None."""
+        if len(self._num) != 1 or len(self._den) != 1:
+            return None
+        ((a, b), (x, y)), = self._num.items()
+        d = self._den[_UNIT][0]
+        return {(-a, -b): (d * x, -d * y)}, x * x + y * y
+
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:
-            return ParamScalar(1)
+            return ONE
         if n < 0 and self.is_zero():
             raise ZeroDivisionError("0 ** negative")
-        return ParamScalar._raw(self._frac() ** n)
+        if n > 0 and len(self._den) == 1:
+            num, d = self._num, self._den[_UNIT][0]
+        elif n < 0 and (inverse := self._unit_inverse()) is not None:
+            (num, d), n = inverse, -n
+        else:
+            return ParamScalar._raw(self._frac() ** n)
+        out, out_d = {_UNIT: (1, 0)}, 1
+        while n:
+            if n & 1:
+                out, out_d = _mul_terms(out, num), out_d * d
+            n >>= 1
+            if n:
+                num, d = _mul_terms(num, num), d * d
+        return _laurent(out, out_d)
 
     def __eq__(self, other):
         other = _as_scalar(other)
@@ -295,10 +418,18 @@ class ParamScalar:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self._num, self._den))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:   # first call: the slot starts unset
+            pass
+        num, den = self._num, self._den
+        if len(den) == 1 and num.keys() <= {_UNIT}:
+            d = den[_UNIT][0]
+            re, im = num.get(_UNIT, (0, 0))
+            h = _gauss_hash(Fraction(re, d), Fraction(im, d))
+        else:
+            h = hash((frozenset(num.items()), frozenset(den.items())))
+        object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self):
@@ -308,26 +439,52 @@ class ParamScalar:
         return not self._num
 
     def is_one(self) -> bool:
-        return self._num == _ONE_POLY and self._den == _ONE_POLY
+        return self._num == ONE._num and self._den == _ONE_DEN
 
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "ParamScalar":
         """Map I -> -I in every coefficient; lam and g are real and fixed."""
-        # a monic denominator stays monic and coprimality is preserved
-        return ParamScalar._make(_conj_poly(self._num), _conj_poly(self._den))
+        # the leading coefficient of the denominator is real, so the result
+        # is canonical as it stands
+        def conj(terms):
+            return {m: (x, -y) for m, (x, y) in terms.items()}
+        den = self._den
+        return _new(conj(self._num), den if len(den) == 1 else conj(den))
+
+    def _parts(self):
+        """The classical canonical pair: numerator and monic denominator with
+        nonnegative exponents, each a list of ((e_lam, e_g), GaussianRational)
+        in descending grlex order."""
+        num, den = self._num, self._den
+        lc = den[max(den, key=_grlex)][0]
+        s_lam = max(0, -min((a for a, _ in num), default=0))
+        s_g = max(0, -min((b for _, b in num), default=0))
+
+        def shifted(terms):
+            out = [((a + s_lam, b + s_g), GaussianRational(Fraction(x, lc), Fraction(y, lc)))
+                   for (a, b), (x, y) in terms.items()]
+            out.sort(key=lambda t: _grlex(t[0]), reverse=True)
+            return out
+
+        return shifted(num), shifted(den)
 
     def evaluate(self, lam0, g0) -> GaussianRational:
         """Exact substitution lam -> lam0, g -> g0 (rationals or Gaussian rationals)."""
-        lam_v = _gauss_to_dom(_as_gauss(lam0))
-        g_v = _gauss_to_dom(_as_gauss(g0))
-        subs = [(_RING.gens[0], lam_v), (_RING.gens[1], g_v)]
-        den_v = self._den.evaluate(subs)
+        lam_v, g_v = _as_gauss(lam0), _as_gauss(g0)
+
+        def value(terms):
+            total = GaussianRational()
+            for (a, b), c in terms:
+                total = total + c * _gauss_pow(lam_v, a) * _gauss_pow(g_v, b)
+            return total
+
+        num, den = self._parts()
+        den_v = value(den)
         if not den_v:
             raise ZeroDivisionError(
                 f"pole: denominator vanishes at (lam, g) = ({lam0}, {g0})")
-        num_v = self._num.evaluate(subs)
-        return _dom_to_gauss(num_v) / _dom_to_gauss(den_v)
+        return value(num) / den_v
 
     def __repr__(self):
         return f"ParamScalar({self.render()!r})"
@@ -340,17 +497,24 @@ class ParamScalar:
 
         Round-trips through the CLI expression parser.
         """
-        num = _render_poly(self._num)
-        if self._den == _ONE_POLY:
+        num_terms, den_terms = self._parts()
+        num = _render_poly(num_terms)
+        if den_terms[0][0] == _UNIT:
             return num
-        den = _render_poly(self._den)
+        den = _render_poly(den_terms)
         num_s = num if _is_atomic(num) and "/" not in num else f"({num})"
         den_s = den if _is_atomic_factor(den) else f"({den})"
         return f"{num_s}/{den_s}"
 
 
-def _conj_poly(p):
-    return _RING.from_dict({m: QQ_I.new(c.x, -c.y) for m, c in p.terms()})
+# the slots' own setters: they pass by the immutability guard of __setattr__
+_SET_NUM = ParamScalar._num.__set__
+_SET_DEN = ParamScalar._den.__set__
+
+
+def _via_field(op, a: ParamScalar, b: ParamScalar) -> ParamScalar:
+    """op(a, b) in sympy's fraction field: the route that needs a GCD."""
+    return ParamScalar._raw(op(a._frac(), b._frac()))
 
 
 def _monom_str(m) -> str:
@@ -363,19 +527,18 @@ def _monom_str(m) -> str:
     return "*".join(parts)
 
 
-def _render_poly(p) -> str:
-    if not p:
+def _render_poly(terms) -> str:
+    if not terms:
         return "0"
     out = []
-    for m, c in p.terms():
-        gc = _dom_to_gauss(c)
+    for m, gc in terms:
         mono = _monom_str(m)
         if not mono:
             piece = _render_gauss(gc, wrap=False)
             piece = f"({piece})" if (gc.im != 0 and gc.re != 0) else piece
-        elif gc == GaussianRational(1):
+        elif gc == 1:
             piece = mono
-        elif gc == GaussianRational(-1):
+        elif gc == -1:
             piece = f"-{mono}"
         else:
             piece = f"{_render_gauss(gc)}*{mono}"
@@ -398,7 +561,7 @@ def _is_atomic(s: str) -> bool:
             depth -= 1
         elif ch in "+-" and depth == 0 and i > 0:
             return False
-    return not s.startswith("-") or False
+    return not s.startswith("-")
 
 
 def _is_atomic_factor(s: str) -> bool:
@@ -418,8 +581,8 @@ def scalar(value) -> ParamScalar:
     return ParamScalar(value)
 
 
-LAM = ParamScalar._make(_monomial(1, 0), _ONE_POLY)
-G = ParamScalar._make(_monomial(0, 1), _ONE_POLY)
-I = ParamScalar(GaussianRational(0, 1))
-ZERO = ParamScalar(0)
-ONE = ParamScalar(1)
+ZERO = _new({}, _ONE_DEN)
+ONE = _new({_UNIT: (1, 0)}, _ONE_DEN)
+LAM = _new({(1, 0): (1, 0)}, _ONE_DEN)
+G = _new({(0, 1): (1, 0)}, _ONE_DEN)
+I = _new({_UNIT: (0, 1)}, _ONE_DEN)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import jsonschema
 import pytest
 
+import quadosc
 from quadosc.cli import main
 from quadosc.report import SCHEMA, VerificationReport
 from quadosc.operators import IdentityRecord
@@ -40,6 +45,35 @@ def test_commutator_verb(capsys):
     code, out, _ = run(capsys, "commutator", "[H,Q+] - 4*lam*Q+")
     assert code == 0
     assert out.strip() == "0"
+    # powers square repeatedly: 10^8 products would not finish
+    code, out, _ = run(capsys, "commutator", "lam^99999999*g^5/lam^3")
+    assert code == 0
+    assert out.strip() == "lam^99999996*g^5"
+
+
+def test_suites_never_import_sympy():
+    # sympy is loaded in this process already, so a fresh interpreter runs
+    # the calls; only a denominator that is not a monomial may import it
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from quadosc.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["verify", "--suite", "sp6"])
+            main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"])
+            main(["commutator", "[A+,B-]"])
+        assert "sympy" not in sys.modules, "sympy imported"
+        main(["commutator", "H/(lam-g)"])
+        assert "sympy" in sys.modules, "sympy not imported"
+    """)
+    src = os.path.dirname(os.path.dirname(quadosc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "lam^2/(lam - g)*z*zb + g^2/(lam - g)*zb^2 + (-4*lam*g)/(lam - g)*zb*x3"
+        " + lam^2/(lam - g)*x3^2 + (-4)/(lam - g)*dz*dzb + (-1)/(lam - g)*d3^2"
+        " + (-3*lam)/(lam - g)")
 
 
 def test_commutator_syntax_error(capsys):

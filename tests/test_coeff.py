@@ -171,14 +171,33 @@ def test_monomial_denominator_fast_path_matches_field(a, b, c):
     gc = c if isinstance(c, GaussianRational) else GaussianRational(c)
     field_c = fa.field.ground_new(QQ_I.new(QQ(gc.re.numerator, gc.re.denominator),
                                            QQ(gc.im.numerator, gc.im.denominator)))
+    # a unit times a monomial, with exponents of b's (negative ones too)
+    e_lam, e_g = next(iter(b._num), (1, 1))
+    u = (ParamScalar(c) or ONE) * LAM ** e_lam * G ** e_g
+    fu = u._frac()
     cases = [(a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa), (1 - a, 1 - fa),
              (a * b, fa * fb), (-a, -fa),
-             (ParamScalar(c), field_c), (a.conjugate(), _field_conjugate(fa))]
+             (ParamScalar(c), field_c), (a.conjugate(), _field_conjugate(fa)),
+             (a / u, fa / fu), (u ** -2, fu ** -2)]
+    cases += [(a ** n, fa ** n if n else fa.field.one) for n in range(4)]   # sympy: 0**0 raises
     for got, frac in cases:
         want = ParamScalar._raw(frac)
         assert (got._num, got._den) == (want._num, want._den)
         assert hash(got) == hash(want)
         assert got.render() == want.render()
+    # evaluation against the field's own, poles included
+    ring = fa.field.ring
+    for p, q in ((Fraction(1, 2), Fraction(-1, 3)), (2, 1), (0, 1), (1, 0)):
+        point = [(ring.gens[0], QQ(p)), (ring.gens[1], QQ(q))]
+        den = fa.denom.evaluate(point)
+        if not den:
+            with pytest.raises(ZeroDivisionError):
+                a.evaluate(p, q)
+            continue
+        v = fa.numer.evaluate(point) / den
+        assert a.evaluate(p, q) == GaussianRational(
+            Fraction(int(v.x.numerator), int(v.x.denominator)),
+            Fraction(int(v.y.numerator), int(v.y.denominator)))
 
 
 def test_constants_and_conjugates_run_no_gcd(monkeypatch):
@@ -193,16 +212,30 @@ def test_constants_and_conjugates_run_no_gcd(monkeypatch):
     assert (LAM * 3).render() == "3*lam"
     assert G.conjugate() == G
     assert variable(0).scale(2).render() == "2*z"
+    # division by a unit times a monomial, and its powers, stay in the ring
+    assert (ONE / (2 * LAM)).render() == "(1/2)/lam"
+    assert (LAM / G).render() == "lam/g"
+    assert ((LAM * G) ** -2).render() == "1/(lam^2*g^2)"
     # exactness guard: no floats, no strings
     for bad in (1.5, "1"):
         with pytest.raises(TypeError):
             ParamScalar(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+
+
+def test_equal_values_hash_equal():
+    assert len({3, Fraction(3), GaussianRational(3), ParamScalar(3)}) == 1
+    assert hash(ParamScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(ParamScalar(GaussianRational(1, 2))) == hash(GaussianRational(1, 2))
 
 
 def test_render_examples():
     assert (Fraction(3, 2) * LAM ** 2 * G - I * G ** 3).render() == "(3/2)*lam^2*g - I*g^3"
     assert (1 / (2 * LAM)).render() == "(1/2)/lam"
     assert ZERO.render() == "0"
+    # powers square repeatedly: 10^8 products would not finish
+    assert (LAM ** 100_000_000).render() == "lam^100000000"
     # denominators are normalized monic under graded lex order
     assert ((LAM + G) / (2 * LAM + 2 * G ** 2)).render() == \
         "((1/2)*lam + (1/2)*g)/(g^2 + lam)"
