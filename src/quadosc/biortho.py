@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from . import operators as _ops
-from .operators import IdentityRecord, record
+from .operators import check, record
 from . import fock as _fock
 from .fock import CreationPolynomial, wick_inner
 from .jordan import JordanLabel, build_state, _blocks, _dfact
@@ -100,12 +100,13 @@ def gram(k: int, n: int) -> GramBlock:
 
 @dataclass(frozen=True)
 class PhiTransform:
-    """Unit lower-triangular change of basis producing the anti-diagonal
-    Kronecker pairing pattern inside one block."""
+    """Unit lower-triangular Toeplitz change of basis producing the
+    anti-diagonal Kronecker pairing pattern inside one block: the m-th new
+    member is t(H - E) applied to the m-th member."""
 
     k: int
     n: int
-    rows: tuple            # rows[m] = tuple of coefficients on members 0..m-1
+    rows: tuple            # rows[m] = (t_m, ..., t_1), the coefficients on members 0..m-1
 
     def apply_rows(self):
         """Full coefficient rows including the unit diagonal."""
@@ -113,10 +114,6 @@ class PhiTransform:
         for m, row in enumerate(self.rows):
             out.append(tuple(row) + (ONE,))
         return out
-
-    def to_json(self):
-        return {"k": self.k, "n": self.n,
-                "rows": [[c.render() for c in row] for row in self.rows]}
 
 
 def _phi_gram_is_antidiagonal(block: GramBlock, rows) -> bool:
@@ -143,56 +140,28 @@ def _phi_gram_is_antidiagonal(block: GramBlock, rows) -> bool:
 
 
 def orthogonalize(k: int, n: int) -> PhiTransform:
-    """Canonical triangular orthogonalization of the block (k, n).
+    """Orthogonalization of the block (k, n) by a polynomial in H - E.
 
-    Convention: members up to the middle of the chain are kept as they are;
-    each later row fixes its pairings against all previously built rows, the
-    remaining freedom is spent on the self-pairing, and all unconstrained
-    directions get zero coefficients.  The result is one exact solution of
-    the anti-diagonal conditions (the gauge is not unique).
+    The Gram is Hankel with h_(2n+j) = N(k, n) u_j, u_0 = 1, and zeros below.
+    Replacing every member by t(H - E) applied to it multiplies the pairing's
+    generating series by t^2, so the anti-diagonal pattern holds exactly when
+    t^2 u = 1 mod x^(2n+1), that is t = u^(-1/2).  Its coefficients come from
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7).  t(H - E)
+    commutes with H, so the new members are again a Jordan chain.
     """
     block = gram(k, n)
     norm = normalization(k, n)
-    h = [c / norm for c in block.hankel]
-    dim = 2 * n + 1
-    phi = []                     # phi[m] = coefficients on members 0..m (unit diagonal)
-    for m in range(dim):
-        if m <= n:
-            phi.append([ZERO] * m + [ONE])
-            continue
-        rho = []
-        for b in range(m):
-            acc = ZERO
-            for j, cb in enumerate(phi[b]):
-                if not cb.is_zero():
-                    acc = acc + cb * h[m + j]
-            rho.append(acc)
-        s = [ZERO] * m
-        for j in range(2 * n - m + 1, m):
-            s[j] = -rho[2 * n - j]
-        pivot = 2 * n - m
-        if rho[pivot].is_zero():
-            raise ArithmeticError(
-                f"orthogonalization pivot vanished in block ({k},{n}) at row {m}")
-        lin = ZERO
-        for b in range(m):
-            if b != pivot and not s[b].is_zero():
-                lin = lin + s[b] * rho[b]
-        quad = ZERO
-        for b in range(2 * n - m + 1, m):
-            if 2 * n - b < m and not s[b].is_zero():
-                quad = quad + s[b] * s[2 * n - b]
-        s[pivot] = -(h[2 * m] + 2 * lin + quad) / (2 * rho[pivot])
-        row = [ZERO] * (m + 1)
-        row[m] = ONE
-        for b in range(m):
-            if not s[b].is_zero():
-                for j, cb in enumerate(phi[b]):
-                    row[j] = row[j] + s[b] * cb
-        phi.append(row)
-    if not _phi_gram_is_antidiagonal(block, [tuple(r) for r in phi]):
+    u = [c / norm for c in block.hankel[2 * n:]]
+    t = [ONE]
+    for j in range(1, 2 * n + 1):
+        acc = ZERO
+        for i in range(1, j + 1):
+            acc = acc + scalar(Fraction(i - 2 * j, 2 * j)) * u[i] * t[j - i]
+        t.append(acc)
+    phi = PhiTransform(k, n, tuple(tuple(t[m:0:-1]) for m in range(2 * n + 1)))
+    if not _phi_gram_is_antidiagonal(block, phi.apply_rows()):
         raise ArithmeticError(f"orthogonalization failed for block ({k},{n})")
-    return PhiTransform(k, n, tuple(tuple(row[:m]) for m, row in enumerate(phi)))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -323,31 +292,28 @@ def verify_gram_blocks(max_k: int = 4, max_n: int = 4) -> list:
         try:
             block = gram(k, n)
         except AssertionError as exc:
-            out.append(IdentityRecord(
-                f"biortho/gram-{k}-{n}", "Gram block structure", "failed", str(exc)))
+            out.append(check(f"biortho/gram-{k}-{n}", "Gram block structure", False, str(exc)))
             continue
         ok_anti = block.hankel[2 * n] == normalization(k, n)
         ok_self = n == 0 or block.matrix[0][0].is_zero()
-        out.append(IdentityRecord(
-            f"biortho/gram-{k}-{n}", "Gram block structure",
-            "verified" if (ok_anti and ok_self) else "failed",
-            "0" if (ok_anti and ok_self) else "anti-diagonal or self-pairing mismatch",
-            note="Hankel with zeros above the anti-diagonal"))
+        out.append(check(f"biortho/gram-{k}-{n}", "Gram block structure", ok_anti and ok_self,
+                         "anti-diagonal or self-pairing mismatch",
+                         note="Hankel with zeros above the anti-diagonal"))
     return out
 
 
 def verify_orthogonalization(max_k: int = 3, max_n: int = 3) -> list:
-    """The canonical solver yields the exact anti-diagonal pattern."""
+    """The transform t(H - E) yields the exact anti-diagonal pattern."""
     out = []
     for k, n in _blocks(max_k, max_n):
         try:
             orthogonalize(k, n)
         except ArithmeticError as exc:
-            out.append(IdentityRecord(
-                f"biortho/phi-{k}-{n}", "triangular orthogonalization", "failed", str(exc)))
+            failure = str(exc)
         else:
-            out.append(IdentityRecord(
-                f"biortho/phi-{k}-{n}", "triangular orthogonalization", "verified", "0"))
+            failure = None
+        out.append(check(f"biortho/phi-{k}-{n}", "triangular orthogonalization",
+                         failure is None, failure))
     return out
 
 
@@ -384,10 +350,9 @@ def verify_reference_phi_blocks() -> list:
                 row[mp] = cf()
             rows.append(tuple(row))
         ok = _phi_gram_is_antidiagonal(block, rows)
-        out.append(IdentityRecord(
-            f"biortho/phi-reference-{k}-{n}",
-            "published triangular coefficients satisfy the pairing conditions",
-            "verified" if ok else "failed", "0" if ok else "pairing condition violated"))
+        out.append(check(f"biortho/phi-reference-{k}-{n}",
+                         "published triangular coefficients satisfy the pairing conditions",
+                         ok, "pairing condition violated"))
     return out
 
 
@@ -434,10 +399,8 @@ def verify_cross_block_orthogonality(max_k: int = 2, max_n: int = 2) -> list:
         if not ok and degenerate:
             note += ("; nonzero pairing is forced at the chain bottom, where the"
                      " symmetry argument does not reach")
-        out.append(IdentityRecord(
-            f"biortho/cross-{k1}-{n1}-x-{k2}-{n2}", "cross-block orthogonality",
-            "verified" if ok else "failed", "0" if ok else "; ".join(witnesses),
-            note=note))
+        out.append(check(f"biortho/cross-{k1}-{n1}-x-{k2}-{n2}", "cross-block orthogonality",
+                         ok, "; ".join(witnesses), note=note))
     return out
 
 
@@ -451,7 +414,7 @@ def verify_oracle_agreement(max_total: int = 6) -> list:
              if i + j + l <= max_total]
     out = []
     ok = True
-    witness = "0"
+    witness = None
     count = 0
     for idx, w1 in enumerate(words):
         p1 = CreationPolynomial.word(*w1)
@@ -466,9 +429,7 @@ def verify_oracle_agreement(max_total: int = 6) -> list:
             if a != b:
                 ok = False
                 witness = f"{w1} x {w2}: {a.render()} vs {b.render()}"
-    out.append(IdentityRecord(
-        "biortho/oracle-agreement", "contraction engine equals the moment engine",
-        "verified" if ok else "failed", "0" if ok else witness,
-        note=f"{count} word pairs, combined degree <= {max_total}"))
+    out.append(check("biortho/oracle-agreement", "contraction engine equals the moment engine",
+                     ok, witness, note=f"{count} word pairs, combined degree <= {max_total}"))
     out.extend(_fock.verify_contraction_matrix())
     return out

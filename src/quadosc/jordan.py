@@ -18,7 +18,7 @@ from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
                    poly_var, poly_one, variable, derivative, identity_op)
 from . import operators as _ops
-from .operators import IdentityRecord, record
+from .operators import check, record
 from . import fock as _fock
 from .fock import CreationPolynomial
 
@@ -502,10 +502,7 @@ def verify_jordan_layer(max_k: int = 4, max_n: int = 4) -> list:
         # all 2n+1 members nonzero; with the chain relation below this
         # forces linear independence, hence the block dimension
         nonzero = all(not s.creation.is_zero() for s in states.values())
-        out.append(IdentityRecord(
-            f"jordan/dim-{k}-{n}", "block dimension",
-            "verified" if nonzero else "failed",
-            "0" if nonzero else "vanishing member"))
+        out.append(check(f"jordan/dim-{k}-{n}", "block dimension", nonzero, "vanishing member"))
         for m in range(2 * n + 1):
             st = states[m]
             direct = build_state_direct(st.label)
@@ -549,9 +546,8 @@ def verify_coefficient_recursions(n_max: int = 8) -> list:
                     ok_bb = False
         for tag, ok in (("odd-from-even", ok_ba), ("even-from-odd", ok_ab),
                         ("even-step", ok_aa), ("odd-step", ok_bb)):
-            out.append(IdentityRecord(
-                f"jordan/recursion-{tag}-n{n}", "coefficient recursion family",
-                "verified" if ok else "failed", "0" if ok else "mismatch"))
+            out.append(check(f"jordan/recursion-{tag}-n{n}", "coefficient recursion family",
+                             ok, "mismatch"))
     out.append(record("jordan/a-top", "top even coefficient in closed form",
                       coeff_a(4, 4, 4),
                       scalar(Fraction(2) ** 8 * math.factorial(4) * _dfact(7)) * G ** 8))
@@ -675,9 +671,8 @@ def verify_uvw_layer(n_max: int = 3) -> list:
                    + v_falling(n, i + 2).scale(scalar(-4) * g * g))
             if lhs != rhs:
                 ok = False
-        out.append(IdentityRecord(
-            f"uvw/v-falling-n{n}", "falling-factorial action of the shift operator",
-            "verified" if ok else "failed", "0" if ok else "mismatch"))
+        out.append(check(f"uvw/v-falling-n{n}", "falling-factorial action of the shift operator",
+                         ok, "mismatch"))
 
     appendix = {
         (1, 1): poly_var(2, SPACE_UVW).scale(scalar(-4) * g),
@@ -708,17 +703,15 @@ def verify_uvw_layer(n_max: int = 3) -> list:
         for q in range(0, 2 * p + 1):
             f = f_polynomial(p, q)
             if q < lo and not f.is_zero():
-                out.append(IdentityRecord(
-                    f"uvw/f-range-p{p}-q{q}", "expansion polynomial index range",
-                    "failed", f.render()))
+                out.append(check(f"uvw/f-range-p{p}-q{q}", "expansion polynomial index range",
+                                 False, f))
                 continue
             ok = True
             for (r, _, s) in f.terms:
                 if 3 * r + s > 2 * p - q or (3 * r + s - q) % 2 != 0:
                     ok = False
-            out.append(IdentityRecord(
-                f"uvw/f-shape-p{p}-q{q}", "degree and parity of expansion polynomials",
-                "verified" if ok else "failed", "0" if ok else f.render()))
+            out.append(check(f"uvw/f-shape-p{p}-q{q}",
+                             "degree and parity of expansion polynomials", ok, f))
 
     for n in range(1, n_max + 1):
         dn = d_p(n)

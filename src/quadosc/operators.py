@@ -18,7 +18,7 @@ from .coeff import ParamScalar, LAM, G, I, ONE, scalar
 from .weyl import (WeylOperator, SPACE_ZZB, variable, derivative, identity_op)
 
 __all__ = [
-    "IdentityRecord", "catalogue", "op", "boson", "SqrtTwoLamOperator",
+    "IdentityRecord", "check", "catalogue", "op", "boson", "SqrtTwoLamOperator",
     "verify_ladder_relations", "verify_q_factorization",
     "verify_nine_dim_algebra", "verify_gl3", "verify_boson_layer",
     "verify_sp6_osp16_closure", "verify_integrals_cubic_algebra",
@@ -58,6 +58,16 @@ def record(ident: str, anchor: str, lhs, rhs, note: str = "") -> IdentityRecord:
         status="verified" if zero else "failed",
         residual="0" if zero else residual.render(),
         ms=ms, note=note)
+
+
+def check(ident: str, anchor: str, ok: bool, residual, note: str = "") -> IdentityRecord:
+    """Build a record from a verdict computed by the caller.  ``residual`` is
+    a string or a value with ``render()``, shown only when the check fails."""
+    if ok:
+        return IdentityRecord(ident, anchor, "verified", "0", note=note)
+    if not isinstance(residual, str):
+        residual = residual.render()
+    return IdentityRecord(ident, anchor, "failed", residual, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +322,6 @@ class SqrtTwoLamOperator:
     def scale(self, c):
         return SqrtTwoLamOperator(self.even.scale(c), self.odd.scale(c))
 
-    def __pow__(self, n: int):
-        acc = SqrtTwoLamOperator.of(_ID)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def commutator(self, other):
         return self * other - other * self
 
@@ -465,64 +469,62 @@ def verify_q_factorization() -> list:
 
 
 _NINE_TABLE = {
-    # (lhs, rhs) -> linear combination {name: coefficient builder}
-    ("R", "S"): {"X": lambda l, g: scalar(-2) * l},
+    # (lhs, rhs) -> linear combination {name: coefficient}
+    ("R", "S"): {"X": -2 * LAM},
     ("R", "T"): {},
     ("R", "U"): {},
     ("R", "V"): {},
-    ("R", "W"): {"Y": lambda l, g: scalar(-2) * l},
-    ("R", "X"): {"R": lambda l, g: scalar(4) * l},
+    ("R", "W"): {"Y": -2 * LAM},
+    ("R", "X"): {"R": 4 * LAM},
     ("R", "Y"): {},
-    ("R", "Z"): {"V": lambda l, g: scalar(-2) * l},
-    ("S", "T"): {"Z": lambda l, g: scalar(2) * g},
+    ("R", "Z"): {"V": -2 * LAM},
+    ("S", "T"): {"Z": 2 * G},
     ("S", "U"): {},
-    ("S", "V"): {"Z": lambda l, g: scalar(-2) * l, "X": lambda l, g: scalar(-2) * g},
+    ("S", "V"): {"Z": -2 * LAM, "X": -2 * G},
     ("S", "W"): {},
-    ("S", "X"): {"S": lambda l, g: scalar(-4) * l},
-    ("S", "Y"): {"W": lambda l, g: scalar(-2) * l, "U": lambda l, g: scalar(-2) * g},
-    ("S", "Z"): {"S": lambda l, g: scalar(-4) * g},
-    ("T", "U"): {"Y": lambda l, g: scalar(-2) * g},
-    ("T", "V"): {"Y": lambda l, g: scalar(2) * l},
-    ("T", "W"): {"Z": lambda l, g: scalar(2) * l},
-    ("T", "X"): {"V": lambda l, g: scalar(-2) * g},
-    ("T", "Y"): {"V": lambda l, g: scalar(2) * l},
-    ("T", "Z"): {"W": lambda l, g: scalar(2) * l, "T": lambda l, g: scalar(4) * g},
-    ("U", "V"): {"Y": lambda l, g: scalar(-2) * l},
-    ("U", "W"): {"Z": lambda l, g: scalar(-2) * l, "X": lambda l, g: scalar(2) * g},
+    ("S", "X"): {"S": -4 * LAM},
+    ("S", "Y"): {"W": -2 * LAM, "U": -2 * G},
+    ("S", "Z"): {"S": -4 * G},
+    ("T", "U"): {"Y": -2 * G},
+    ("T", "V"): {"Y": 2 * LAM},
+    ("T", "W"): {"Z": 2 * LAM},
+    ("T", "X"): {"V": -2 * G},
+    ("T", "Y"): {"V": 2 * LAM},
+    ("T", "Z"): {"W": 2 * LAM, "T": 4 * G},
+    ("U", "V"): {"Y": -2 * LAM},
+    ("U", "W"): {"Z": -2 * LAM, "X": 2 * G},
     ("U", "X"): {},
-    ("U", "Y"): {"V": lambda l, g: scalar(-2) * l, "R": lambda l, g: scalar(-4) * g},
-    ("U", "Z"): {"W": lambda l, g: scalar(-2) * l, "U": lambda l, g: scalar(-2) * g},
-    ("V", "W"): {"X": lambda l, g: scalar(-2) * l, "Y": lambda l, g: scalar(2) * g},
-    ("V", "X"): {"V": lambda l, g: scalar(2) * l, "R": lambda l, g: scalar(-4) * g},
-    ("V", "Y"): {"R": lambda l, g: scalar(4) * l},
-    ("V", "Z"): {"U": lambda l, g: scalar(2) * l, "T": lambda l, g: scalar(-4) * l,
-                 "V": lambda l, g: scalar(2) * g},
-    ("W", "X"): {"W": lambda l, g: scalar(-2) * l, "U": lambda l, g: scalar(-2) * g},
-    ("W", "Y"): {"U": lambda l, g: scalar(2) * l, "T": lambda l, g: scalar(-4) * l,
-                 "V": lambda l, g: scalar(-2) * g},
-    ("W", "Z"): {"S": lambda l, g: scalar(4) * l},
-    ("X", "Y"): {"Y": lambda l, g: scalar(-2) * l},
-    ("X", "Z"): {"Z": lambda l, g: scalar(2) * l, "X": lambda l, g: scalar(-2) * g},
-    ("Y", "Z"): {"X": lambda l, g: scalar(2) * l, "Y": lambda l, g: scalar(2) * g},
+    ("U", "Y"): {"V": -2 * LAM, "R": -4 * G},
+    ("U", "Z"): {"W": -2 * LAM, "U": -2 * G},
+    ("V", "W"): {"X": -2 * LAM, "Y": 2 * G},
+    ("V", "X"): {"V": 2 * LAM, "R": -4 * G},
+    ("V", "Y"): {"R": 4 * LAM},
+    ("V", "Z"): {"U": 2 * LAM, "T": -4 * LAM, "V": 2 * G},
+    ("W", "X"): {"W": -2 * LAM, "U": -2 * G},
+    ("W", "Y"): {"U": 2 * LAM, "T": -4 * LAM, "V": -2 * G},
+    ("W", "Z"): {"S": 4 * LAM},
+    ("X", "Y"): {"Y": -2 * LAM},
+    ("X", "Z"): {"Z": 2 * LAM, "X": -2 * G},
+    ("Y", "Z"): {"X": 2 * LAM, "Y": 2 * G},
 }
 
 _H_TABLE = {
     "R": {},
-    "S": {"Z": lambda l, g: scalar(2) * g},
-    "T": {"Y": lambda l, g: scalar(-2) * g},
-    "U": {"Y": lambda l, g: scalar(2) * g},
+    "S": {"Z": 2 * G},
+    "T": {"Y": -2 * G},
+    "U": {"Y": 2 * G},
     "V": {},
-    "W": {"X": lambda l, g: scalar(-2) * g},
-    "X": {"V": lambda l, g: scalar(2) * g},
-    "Y": {"R": lambda l, g: scalar(4) * g},
-    "Z": {"U": lambda l, g: scalar(2) * g, "T": lambda l, g: scalar(-4) * g},
+    "W": {"X": -2 * G},
+    "X": {"V": 2 * G},
+    "Y": {"R": 4 * G},
+    "Z": {"U": 2 * G, "T": -4 * G},
 }
 
 
 def _combine(c, table) -> WeylOperator:
     acc = WeylOperator({}, SPACE_ZZB)
     for name, coeff in table.items():
-        acc = acc + c[name].scale(coeff(LAM, G))
+        acc = acc + c[name].scale(coeff)
     return acc
 
 
@@ -808,16 +810,12 @@ def verify_integrals_cubic_algebra() -> list:
                       c["R2"].commutator(c["R3"]), cubic_rhs))
     # The bracket [R0, R3]: computed outright and matched to c * R0^2.
     br = c["R0"].commutator(c["R3"])
-    for cval, label in ((scalar(-4) * LAM, "-4*lam"), (scalar(4) * LAM, "4*lam")):
-        if (br - r0sq.scale(cval)).is_zero():
-            out.append(IdentityRecord(
-                "integrals/R0R3", "computed bracket of the zeroth and third integrals",
-                "verified", "0", note=f"[R0,R3] = ({label})*R0^2, coefficient fixed by computation"))
-            break
-    else:
-        out.append(IdentityRecord(
-            "integrals/R0R3", "computed bracket of the zeroth and third integrals",
-            "failed", br.render(), note="not proportional to R0^2"))
+    candidates = ((scalar(-4) * LAM, "-4*lam"), (scalar(4) * LAM, "4*lam"))
+    label = next((label for cval, label in candidates if (br - r0sq.scale(cval)).is_zero()), None)
+    note = (f"[R0,R3] = ({label})*R0^2, coefficient fixed by computation" if label
+            else "not proportional to R0^2")
+    out.append(check("integrals/R0R3", "computed bracket of the zeroth and third integrals",
+                     label is not None, br, note=note))
     out.append(record("integrals/R0-bilinear", "zeroth integral as a bilinear",
                       c["R0"], c["R"]))
     out.append(record("integrals/R1-bilinear", "first integral as a bilinear",

@@ -132,12 +132,18 @@ class SparseTerms:
     __rmul__ = scale
 
     def __pow__(self, n: int):
+        """``self ** n`` by repeated squaring: the bit length of n plus its
+        count of one bits, less two, products."""
         if n < 0:
             raise ValueError("negative power")
-        acc = self._new({self._UNIT: ONE})
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        acc, base = None, self
+        while n:
+            if n & 1:
+                acc = base if acc is None else acc * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self._new({self._UNIT: ONE}) if acc is None else acc
 
     def substitute(self, images):
         """The homomorphism that sends generator i to images[i] (all of one

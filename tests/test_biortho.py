@@ -1,6 +1,7 @@
 """Normalization constants, Gram blocks, and the orthogonalized basis."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,8 @@ from quadosc import biortho as B
 from quadosc import fock
 from quadosc.fock import wick_inner
 from quadosc.jordan import JordanLabel, build_state
+from quadosc.operators import catalogue
+from quadosc.weyl import identity_op
 
 
 def test_normalization_values():
@@ -94,9 +97,28 @@ def test_orthogonalize_block_01():
     rows = t.apply_rows()
     blk = B.gram(0, 1)
     assert B._phi_gram_is_antidiagonal(blk, rows)
-    # this solver keeps the first half of the chain untouched
+    # t(H - E) with t = 1 - x/(4*lam) + 3*x^2/(32*lam^2): rows[m] = (t_m, ..., t_1)
     assert t.rows[0] == ()
-    assert t.rows[1] == (ZERO,)
+    assert t.rows == ((), (-ONE / (4 * LAM),),
+                      (scalar(Fraction(3, 32)) / LAM ** 2, -ONE / (4 * LAM)))
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(4) for n in range(4 - k)])
+def test_orthogonalized_members_are_a_jordan_chain(k, n):
+    rows = B.orthogonalize(k, n).apply_rows()
+    members = [build_state(JordanLabel(k, n, m)).creation for m in range(2 * n + 1)]
+    phi = [sum((members[j].scale(c) for j, c in enumerate(row)), fock.CreationPolynomial.zero())
+           for row in rows]
+    h_shift = catalogue()["H"] - identity_op().scale(JordanLabel(k, n, 0).energy)
+    below = fock.CreationPolynomial.zero()
+    for m, member in enumerate(phi):
+        assert h_shift.apply(fock.to_gaussian_state(member)) == fock.to_gaussian_state(below), m
+        below = member
+    norm = B.normalization(k, n)
+    for a in range(2 * n + 1):
+        for b in range(a, 2 * n + 1):
+            want = norm if a + b == 2 * n else ZERO
+            assert wick_inner(phi[a], phi[b]) == want, (a, b)
 
 
 def test_reference_phi_block_01_coefficients():

@@ -60,6 +60,7 @@ def test_suites_never_import_sympy():
         with contextlib.redirect_stdout(io.StringIO()):
             main(["verify", "--suite", "sp6"])
             main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"])
+            main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1"])
             main(["commutator", "[A+,B-]"])
         assert "sympy" not in sys.modules, "sympy imported"
         main(["commutator", "H/(lam-g)"])

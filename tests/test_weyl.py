@@ -145,3 +145,31 @@ def test_space_mismatch_rejected():
         _ = Z + u
     with pytest.raises(ValueError):
         _ = Z * u
+
+
+def test_power_equals_repeated_product():
+    cat = catalogue()
+    poly = poly_var(0) + poly_var(2).scale(G) - poly_one().scale(LAM)
+    for x, unit in ((cat["A+"], IDENT), (cat["Q+"], IDENT), (poly, poly_one())):
+        want = unit
+        for n in range(6):
+            assert x ** n == want, n
+            want = want * x
+    with pytest.raises(ValueError):
+        _ = Z ** -1
+
+
+def test_power_squares_repeatedly():
+    products = [0]
+
+    class Counted(Poly3):
+        __slots__ = ()
+
+        def __mul__(self, other):
+            products[0] += 1
+            return super().__mul__(other)
+
+    n = 100_000
+    x = Counted({(1, 0, 0): G}, SPACE_ZZB)
+    assert x ** n == Poly3({(n, 0, 0): G ** n}, SPACE_ZZB)
+    assert products[0] == n.bit_length() + bin(n).count("1") - 2
