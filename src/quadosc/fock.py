@@ -25,7 +25,7 @@ from itertools import product
 
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from .weyl import (Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
-                   SPACE_ABC, poly_var, poly_one)
+                   SPACE_ABC, WEIGHT_STD, ground_state, poly_var)
 from . import operators as _ops
 
 __all__ = [
@@ -187,7 +187,9 @@ def expand_q_power(k: int) -> CreationPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Variable changes
+# Variable changes and word wavefunctions: a word's wavefunction is the
+# catalogue's raising letters applied to Psi0, built once per word; its
+# (u, v, w) form is the linear change of variables of that polynomial.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -218,39 +220,26 @@ def zzb_poly_to_uvw(p: Poly3) -> Poly3:
 
 
 @lru_cache(maxsize=None)
-def raising_ops_uvw():
-    """The raising letters in the weight-stripped polynomial picture: exact
-    first-order operators on polynomials in (u, v, w).
-
-    Acting on 1 they give -2*lam*u, v, 2*w, but on higher polynomials every
-    application also carries a derivative piece, so creation words are NOT
-    plain monomials in (u, v, w).
-    """
-    from .weyl import variable as _va, derivative as _de
-    u, v, w = (_va(i, SPACE_UVW) for i in range(3))
-    du, dv, dw = (_de(i, SPACE_UVW) for i in range(3))
-    a_hat = (u + dv).scale(scalar(-2) * LAM)
-    b_hat = v + du + dw.scale(G)
-    c_hat = w.scale(2) + dv.scale(scalar(2) * G) + dw.scale(-LAM)
-    return (a_hat, b_hat, c_hat)
+def _word_state(word) -> GaussianState:
+    """(A+)^i (B+)^j (C+)^l Psi0 for the word (i, j, l), by applying the
+    catalogue's raising letters, A+ outermost."""
+    for axis, letter in enumerate(_LETTERS):
+        if word[axis]:
+            inner = list(word)
+            inner[axis] -= 1
+            return _ops.catalogue()[f"{letter}+"].apply(_word_state(tuple(inner)))
+    return ground_state()
 
 
 @lru_cache(maxsize=None)
 def _word_uvw_poly(word) -> Poly3:
-    """Exact wavefunction of a single creation word, in (u, v, w)."""
-    i, j, l = word
-    if i:
-        return raising_ops_uvw()[0].apply_poly(_word_uvw_poly((i - 1, j, l)))
-    if j:
-        return raising_ops_uvw()[1].apply_poly(_word_uvw_poly((i, j - 1, l)))
-    if l:
-        return raising_ops_uvw()[2].apply_poly(_word_uvw_poly((i, j, l - 1)))
-    return poly_one(SPACE_UVW)
+    """Exact wavefunction of a single creation word, in (u, v, w); not a
+    plain monomial, since repeated letters carry lower-degree corrections."""
+    return zzb_poly_to_uvw(_word_state(word).poly)
 
 
 def creation_to_uvw(p: CreationPolynomial) -> Poly3:
-    """Exact wavefunction of a creation polynomial in the (u, v, w) variables,
-    by repeated operator application."""
+    """Exact wavefunction of a creation polynomial in the (u, v, w) variables."""
     out = Poly3({}, SPACE_UVW)
     for word, c in p.terms.items():
         out = out + _word_uvw_poly(word).scale(c)
@@ -281,10 +270,17 @@ def uvw_to_creation(p: Poly3) -> CreationPolynomial:
 
 def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
     """The wavefunction of a creation polynomial, as poly(z, zb, x3) * Psi0."""
-    return GaussianState(uvw_poly_to_zzb(creation_to_uvw(p)))
+    out = Poly3({}, SPACE_ZZB)
+    for word, c in p.terms.items():
+        out = out + _word_state(word).poly.scale(c)
+    return GaussianState(out)
 
 
 def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
+    """Inverse of :func:`to_gaussian_state`; only standard-weight states are
+    creation polynomials applied to Psi0."""
+    if s.weight != WEIGHT_STD:
+        raise ValueError("only standard-weight states have a creation polynomial")
     return uvw_to_creation(zzb_poly_to_uvw(s.poly))
 
 
@@ -354,7 +350,7 @@ def _x123_images():
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:
     """Independent oracle: int bra ket Psi0^2 / int Psi0^2 by formal Gaussian
     moments over the real coordinates."""
-    if bra.weight != ket.weight or bra.weight != "psi0":
+    if bra.weight != ket.weight or bra.weight != WEIGHT_STD:
         raise ValueError("the moment oracle pairs standard-weight states")
     prod = (bra.poly * ket.poly).substitute(_x123_images())
     total = ZERO

@@ -139,57 +139,33 @@ def _b_guarded(n, p, q):
 
 def rec_b_from_a(n: int, p: int, q: int) -> ParamScalar:
     """Odd-step coefficients from the even-step table (first cross relation)."""
-    m2g = scalar(-2) * G
-    if q == 0:
-        return m2g * (n - 2 * p) * coeff_a(n, p, 0)
-    return m2g * (scalar(2 * p - 2 * q + 2) * _a_guarded(n, p, q - 1)
-                  + scalar(n - 2 * p + q) * _a_guarded(n, p, q))
+    return scalar(-2) * G * (scalar(2 * p - 2 * q + 2) * _a_guarded(n, p, q - 1)
+                             + scalar(n - 2 * p + q) * _a_guarded(n, p, q))
 
 
 def rec_a_from_b(n: int, p1: int, q: int) -> ParamScalar:
     """Even-step coefficients at level p1 = p + 1 from the odd-step table."""
     p = p1 - 1
-    m2g = scalar(-2) * G
-    if q == 0:
-        return m2g * (n - 2 * p - 1) * coeff_b(n, p, 0)
-    if q == p + 1:
-        return m2g * coeff_b(n, p, p)
-    return m2g * (scalar(2 * p + 3 - 2 * q) * _b_guarded(n, p, q - 1)
-                  + scalar(n - 2 * p + q - 1) * _b_guarded(n, p, q))
+    return scalar(-2) * G * (scalar(2 * p + 3 - 2 * q) * _b_guarded(n, p, q - 1)
+                             + scalar(n - 2 * p + q - 1) * _b_guarded(n, p, q))
 
 
 def rec_a_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure even-step recursion from level p = p1 - 1."""
     p = p1 - 1
-    g2_4 = scalar(4) * G * G
-    if q == 0:
-        return g2_4 * (n - 2 * p - 1) * (n - 2 * p) * coeff_a(n, p, 0)
-    if q == 1:
-        return g2_4 * (n - 2 * p) * (scalar(4 * p + 1) * coeff_a(n, p, 0)
-                                     + scalar(n - 2 * p + 1) * _a_guarded(n, p, 1))
-    if q == p + 1:
-        return g2_4 * (scalar(2) * _a_guarded(n, p, p - 1)
-                       + scalar(n - p) * _a_guarded(n, p, p))
-    return g2_4 * (scalar(2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _a_guarded(n, p, q - 2)
-                   + scalar(n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _a_guarded(n, p, q - 1)
-                   + scalar(n - 2 * p + q - 1) * (n - 2 * p + q) * _a_guarded(n, p, q))
+    return scalar(4) * G * G * (
+        scalar(2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _a_guarded(n, p, q - 2)
+        + scalar(n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _a_guarded(n, p, q - 1)
+        + scalar(n - 2 * p + q - 1) * (n - 2 * p + q) * _a_guarded(n, p, q))
 
 
 def rec_b_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure odd-step recursion from level p = p1 - 1."""
     p = p1 - 1
-    g2_4 = scalar(4) * G * G
-    if q == 0:
-        return g2_4 * (n - 2 * p - 2) * (n - 2 * p - 1) * coeff_b(n, p, 0)
-    if q == 1:
-        return g2_4 * (n - 2 * p - 1) * (scalar(4 * p + 3) * coeff_b(n, p, 0)
-                                         + scalar(n - 2 * p) * _b_guarded(n, p, 1))
-    if q == p + 1:
-        return scalar(12) * G * G * (scalar(2) * _b_guarded(n, p, p - 1)
-                                     + scalar(n - p - 1) * _b_guarded(n, p, p))
-    return g2_4 * (scalar(2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _b_guarded(n, p, q - 2)
-                   + scalar(n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _b_guarded(n, p, q - 1)
-                   + scalar(n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _b_guarded(n, p, q))
+    return scalar(4) * G * G * (
+        scalar(2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _b_guarded(n, p, q - 2)
+        + scalar(n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _b_guarded(n, p, q - 1)
+        + scalar(n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _b_guarded(n, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +202,7 @@ def build_state(label: JordanLabel) -> AssociatedState:
 def _direct_chain(k: int, n: int):
     """All 2n+1 members of a block by repeatedly applying (H - E) to the
     chain top, re-expressed in creation letters; the expensive direct route."""
-    cat = _ops.catalogue()
-    E = scalar(2 * (2 * k + n)) * LAM
-    h_shift = cat["H"] - identity_op().scale(E)
+    h_shift = _ops.catalogue()["H"] - identity_op().scale(JordanLabel(k, n, 0).energy)
     top = _fock.to_gaussian_state(
         CreationPolynomial.word(0, n, 0) * _fock.expand_q_power(k))
     chain = {2 * n: top}
@@ -272,28 +246,24 @@ def ladder_apply(op_name: str, label: JordanLabel):
     out = []
     if op_name == "A+":
         _emit(out, k, n + 1, m, ONE / (scalar(4 * (n + 1) * (2 * n + 1)) * g * g))
-        if m >= 2:
-            _emit(out, k + 1, n - 1, m - 2, _frac(n, 2 * n + 1))
+        _emit(out, k + 1, n - 1, m - 2, _frac(n, 2 * n + 1))
     elif op_name == "B+":
         _emit(out, k, n + 1, m + 2, _frac((m + 1) * (m + 2), 2 * (n + 1) * (2 * n + 1)))
         _emit(out, k + 1, n - 1, m,
               scalar(Fraction(2 * n * (2 * n - m - 1) * (2 * n - m), 2 * n + 1)) * g * g)
     elif op_name == "C+":
         _emit(out, k, n + 1, m + 1, -scalar(m + 1) / (scalar(2 * (n + 1) * (2 * n + 1)) * g))
-        if m >= 1:
-            _emit(out, k + 1, n - 1, m - 1, scalar(Fraction(2 * n * (2 * n - m), 2 * n + 1)) * g)
+        _emit(out, k + 1, n - 1, m - 1, scalar(Fraction(2 * n * (2 * n - m), 2 * n + 1)) * g)
     elif op_name == "A-":
         _emit(out, k - 1, n + 1, m, -scalar(k) * lam / (scalar((n + 1) * (2 * n + 1)) * g * g))
-        if m >= 2:
-            _emit(out, k, n - 1, m - 2,
-                  -scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * lam)
+        _emit(out, k, n - 1, m - 2,
+              -scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * lam)
     elif op_name == "B-":
         _emit(out, k - 1, n + 1, m + 1, _frac(2 * k * (m + 1), (n + 1) * (2 * n + 1)))
         _emit(out, k - 1, n + 1, m + 2,
               -scalar(Fraction(2 * k * (m + 1) * (m + 2), (n + 1) * (2 * n + 1))) * lam)
-        if m >= 1:
-            _emit(out, k, n - 1, m - 1,
-                  -scalar(Fraction(4 * n * (2 * n - m) * (2 * k + 2 * n + 1), 2 * n + 1)) * g * g)
+        _emit(out, k, n - 1, m - 1,
+              -scalar(Fraction(4 * n * (2 * n - m) * (2 * k + 2 * n + 1), 2 * n + 1)) * g * g)
         _emit(out, k, n - 1, m,
               -scalar(Fraction(4 * n * (2 * n - m) * (2 * n - m - 1) * (2 * k + 2 * n + 1),
                                2 * n + 1)) * lam * g * g)
@@ -301,12 +271,10 @@ def ladder_apply(op_name: str, label: JordanLabel):
         _emit(out, k - 1, n + 1, m, scalar(k) / (scalar((n + 1) * (2 * n + 1)) * g))
         _emit(out, k - 1, n + 1, m + 1,
               -scalar(2 * k * (m + 1)) * lam / (scalar((n + 1) * (2 * n + 1)) * g))
-        if m >= 2:
-            _emit(out, k, n - 1, m - 2,
-                  scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * g)
-        if m >= 1:
-            _emit(out, k, n - 1, m - 1,
-                  scalar(Fraction(4 * n * (2 * k + 2 * n + 1) * (2 * n - m), 2 * n + 1)) * lam * g)
+        _emit(out, k, n - 1, m - 2,
+              scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * g)
+        _emit(out, k, n - 1, m - 1,
+              scalar(Fraction(4 * n * (2 * k + 2 * n + 1) * (2 * n - m), 2 * n + 1)) * lam * g)
     else:
         raise ValueError(f"unknown ladder operator {op_name!r}")
     return out
@@ -318,32 +286,26 @@ def special_operator_actions(label: JordanLabel) -> dict:
     k, n, m = label.k, label.n, label.m
     lam, g = LAM, G
     h_terms = [(label, label.energy)]
-    if m >= 1:
-        h_terms.append((JordanLabel(k, n, m - 1), ONE))
+    _emit(h_terms, k, n, m - 1, ONE)
 
     r_terms = []
     v_terms = []
     _emit(r_terms, k - 1, n + 2, m,
           -scalar(k) * lam / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 4))
-    if m >= 2:
-        _emit(r_terms, k, n, m - 2,
-              -scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) * lam / (g * g))
-    if m >= 4:
-        _emit(r_terms, k + 1, n - 2, m - 4,
-              -scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
-                               (2 * n - 1) * (2 * n + 1))) * lam)
+    _emit(r_terms, k, n, m - 2,
+          -scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) * lam / (g * g))
+    _emit(r_terms, k + 1, n - 2, m - 4,
+          -scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
+                           (2 * n - 1) * (2 * n + 1))) * lam)
 
     _emit(v_terms, k - 1, n + 2, m,
           scalar(k) / (scalar(4 * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)) * g ** 3))
-    if m >= 2:
-        _emit(v_terms, k, n, m - 2,
-              scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) / g)
-    if m >= 1:
-        _emit(v_terms, k, n, m - 1, lam / g)
-    if m >= 4:
-        _emit(v_terms, k + 1, n - 2, m - 4,
-              scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
-                              (2 * n - 1) * (2 * n + 1))) * g)
+    _emit(v_terms, k, n, m - 2,
+          scalar(Fraction(4 * k + 2 * n + 3, 2 * (2 * n - 1) * (2 * n + 3))) / g)
+    _emit(v_terms, k, n, m - 1, lam / g)
+    _emit(v_terms, k + 1, n - 2, m - 4,
+          scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
+                          (2 * n - 1) * (2 * n + 1))) * g)
 
     return {
         "H": h_terms,

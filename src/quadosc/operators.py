@@ -663,8 +663,9 @@ def _span_basis() -> list:
 class SpanSolver:
     """Exact membership oracle for the linear span of a fixed operator set.
 
-    The basis is brought to Gauss-Jordan form once; each query is then a
-    single reduction pass.  Coefficient bookkeeping recovers the certificate.
+    The basis is brought to echelon form once: each row vanishes at every
+    earlier pivot, so a query is a single reduction pass over the rows in
+    order.  Coefficient bookkeeping recovers the certificate.
     """
 
     def __init__(self, basis):
@@ -679,11 +680,6 @@ class SpanSolver:
                 inv = ONE / vec[pivot]
                 vec = {m: c * inv for m, c in vec.items()}
                 combo = {n: c * inv for n, c in combo.items()}
-                for rpivot, rvec, rcombo in self.rows:
-                    f = rvec.get(pivot)
-                    if f is not None and not f.is_zero():
-                        _sub_scaled(rvec, vec, f)
-                        _sub_scaled(rcombo, combo, f)
                 self.rows.append((pivot, vec, combo))
 
     def _reduce(self, vec, combo):

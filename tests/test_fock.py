@@ -225,6 +225,33 @@ def test_eta_apply_function():
     assert flipped.eta_apply() == s
 
 
+def test_word_states_do_not_depend_on_letter_order():
+    # the cached words apply A+ outermost; here C+ is outermost
+    cat = ops.catalogue()
+    for d in range(5):
+        for i in range(d + 1):
+            for j in range(d - i + 1):
+                l = d - i - j
+                state = ground_state()
+                for letter, count in (("A+", i), ("B+", j), ("C+", l)):
+                    for _ in range(count):
+                        state = cat[letter].apply(state)
+                assert fock.to_gaussian_state(CreationPolynomial.word(i, j, l)) == state
+
+
+@settings(max_examples=20, deadline=None)
+@given(creation_polys())
+def test_round_trips_random(p):
+    assert fock.gaussian_state_to_creation(fock.to_gaussian_state(p)) == p
+    assert fock.uvw_to_creation(fock.creation_to_uvw(p)) == p
+
+
+def test_swapped_weight_has_no_creation_polynomial():
+    # the parity image of Psi0 is not Psi0, though its polynomial part is 1
+    with pytest.raises(ValueError):
+        fock.gaussian_state_to_creation(ground_state().eta_apply())
+
+
 def test_round_trip_uvw_creation():
     p = CreationPolynomial({(2, 1, 0): ONE, (0, 0, 3): scalar(5), (1, 1, 1): G})
     assert fock.uvw_to_creation(fock.creation_to_uvw(p)) == p

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from quadosc.coeff import LAM, G, ONE, scalar
-from quadosc.weyl import SPACE_UVW, Poly3, poly_var, poly_one
+from quadosc.weyl import SPACE_UVW, Poly3, poly_var, poly_one, variable, derivative
+from quadosc import operators as ops
 from quadosc import jordan as J
 from quadosc import fock
 from quadosc.fock import CreationPolynomial
@@ -101,6 +102,13 @@ def test_coefficient_recursions_small():
     assert all(r.ok for r in recs)
 
 
+def test_coefficient_recursions_beyond_the_suite_bound():
+    # every family is one formula over the zero-extended tables, edges included
+    recs = J.verify_coefficient_recursions(12)
+    assert len(recs) == 49
+    assert all(r.ok for r in recs), [r.id for r in recs if not r.ok]
+
+
 def test_ladder_actions_small():
     recs = J.verify_ladder_actions(1, 1)
     assert all(r.ok for r in recs), [r.id for r in recs if not r.ok]
@@ -146,6 +154,23 @@ def test_uvw_round_trip():
     assert fock.uvw_poly_to_zzb(fock.zzb_poly_to_uvw(p)) == p
     q = fock.zzb_poly_to_uvw(p)
     assert fock.zzb_poly_to_uvw(fock.uvw_poly_to_zzb(q)) == q
+
+
+def test_raising_letters_in_the_uvw_picture():
+    # conjugated by Psi0 and written in (u, v, w), the catalogue's raising
+    # letters are exact first-order operators; on 1 they give -2*lam*u, v, 2*w
+    u, v, w = (variable(i, SPACE_UVW) for i in range(3))
+    du, dv, dw = (derivative(i, SPACE_UVW) for i in range(3))
+    expected = {
+        "A+": (u + dv).scale(-2 * LAM),
+        "B+": v + du + dw.scale(G),
+        "C+": w.scale(2) + dv.scale(2 * G) + dw.scale(-LAM),
+    }
+    cat = ops.catalogue()
+    for name, op in expected.items():
+        picture = (cat[name].substitute(J._weight_conjugation_images())
+                   .substitute(J._uvw_change_images()))
+        assert picture == op, name
 
 
 def test_uvw_layer_suite_small():

@@ -132,3 +132,10 @@ def test_span_solver_rejects_outsiders():
     c = ops.catalogue()
     cubic = ops.SqrtTwoLamOperator.of(c["A+"] * c["A+"] * c["A+"])
     assert ops.express_in_span(cubic) is None
+
+
+def test_span_solver_rows_are_independent():
+    # all 22 spanning elements {1, E_ij, D+-_ij} become rows, so every
+    # certificate is the unique coefficient vector
+    solver = ops._span_solver()
+    assert len(solver.rows) == len(solver.basis) == 22
