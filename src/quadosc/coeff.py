@@ -130,15 +130,18 @@ def _gauss_hash(re: Fraction, im: Fraction) -> int:
     return hash((re, im)) if im else hash(re)
 
 
-def _gauss_pow(z: GaussianRational, e: int) -> GaussianRational:
-    out = GaussianRational(1)
-    while e:
-        if e & 1:
-            out = out * z
-        e >>= 1
-        if e:
-            z = z * z
-    return out
+def power(base, n: int, mul):
+    """``base ** n`` for n >= 1 by repeated squaring under the product
+    ``mul``: the bit length of n plus its count of one bits, less two,
+    products."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = base if acc is None else mul(acc, base)
+        n >>= 1
+        if not n:
+            return acc
+        base = mul(base, base)
 
 
 def _render_fraction(q: Fraction) -> str:
@@ -193,6 +196,11 @@ def _mul_terms(n1, n2):
         # so without a collision nothing does
         out = {m: c for m, c in out.items() if c[0] or c[1]}
     return out
+
+
+def _mul_pairs(x, y):
+    """The product of two (Laurent map, integer denominator) pairs."""
+    return _mul_terms(x[0], y[0]), x[1] * y[1]
 
 
 def _new(num, den) -> "ParamScalar":
@@ -397,19 +405,12 @@ class ParamScalar:
         if n < 0 and self.is_zero():
             raise ZeroDivisionError("0 ** negative")
         if n > 0 and len(self._den) == 1:
-            num, d = self._num, self._den[_UNIT][0]
-        elif n < 0 and (inverse := self._unit_inverse()) is not None:
-            (num, d), n = inverse, -n
+            pair = self._num, self._den[_UNIT][0]
+        elif n < 0 and (pair := self._unit_inverse()) is not None:
+            n = -n
         else:
             return ParamScalar._raw(self._frac() ** n)
-        out, out_d = {_UNIT: (1, 0)}, 1
-        while n:
-            if n & 1:
-                out, out_d = _mul_terms(out, num), out_d * d
-            n >>= 1
-            if n:
-                num, d = _mul_terms(num, num), d * d
-        return _laurent(out, out_d)
+        return _laurent(*power(pair, n, _mul_pairs))
 
     def __eq__(self, other):
         other = _as_scalar(other)
@@ -476,7 +477,11 @@ class ParamScalar:
         def value(terms):
             total = GaussianRational()
             for (a, b), c in terms:
-                total = total + c * _gauss_pow(lam_v, a) * _gauss_pow(g_v, b)
+                if a:
+                    c = c * power(lam_v, a, operator.mul)
+                if b:
+                    c = c * power(g_v, b, operator.mul)
+                total = total + c
             return total
 
         num, den = self._parts()
@@ -551,17 +556,23 @@ def _render_poly(terms) -> str:
     return "".join(out)
 
 
-def _is_atomic(s: str) -> bool:
-    """No top-level + or - (a single product term renders unparenthesized)."""
+def _scalar_atomic(s: str) -> bool:
+    """No top-level binary + or -: a sign after ``(*/^`` is unary.  A
+    rendered value that passes needs no parentheses as a factor."""
     depth = 0
     for i, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
+        elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(*/^":
             return False
-    return not s.startswith("-")
+    return True
+
+
+def _is_atomic(s: str) -> bool:
+    """A single product term with no leading sign."""
+    return _scalar_atomic(s) and not s.startswith("-")
 
 
 def _is_atomic_factor(s: str) -> bool:

@@ -24,8 +24,9 @@ from functools import lru_cache
 from itertools import product
 
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
-from .weyl import (Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
-                   SPACE_ABC, WEIGHT_STD, ground_state, poly_var)
+from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
+                   SPACE_ABC, WEIGHT_STD, ground_state, poly_var, derivative,
+                   multiplication)
 from . import operators as _ops
 
 __all__ = [
@@ -192,23 +193,42 @@ def expand_q_power(k: int) -> CreationPolynomial:
 # (u, v, w) form is the linear change of variables of that polynomial.
 # ---------------------------------------------------------------------------
 
+# The change to the transformed variables, stated once: row i is the i-th of
+# (u, v, w) as a linear form in (z, zb, x3).
+_UVW_FORMS = ((ZERO, ONE, ZERO),
+              (-LAM, ZERO, scalar(2) * G),
+              (ZERO, G, -LAM))
+
+
+def _linear_images(matrix, space):
+    """Row i of ``matrix`` as a linear polynomial in the variables of ``space``."""
+    xs = [poly_var(j, space) for j in range(3)]
+    return tuple(sum((x.scale(c) for x, c in zip(xs, row)), Poly3({}, space))
+                 for row in matrix)
+
+
 @lru_cache(maxsize=None)
 def _uvw_images_in_zzb():
-    z, zb, x3 = (poly_var(i, SPACE_ZZB) for i in range(3))
-    u = zb
-    v = z.scale(-LAM) + x3.scale(scalar(2) * G)
-    w = zb.scale(G) + x3.scale(-LAM)
-    return (u, v, w)
+    return _linear_images(_UVW_FORMS, SPACE_ZZB)
 
 
 @lru_cache(maxsize=None)
 def _zzb_images_in_uvw():
-    u, v, w = (poly_var(i, SPACE_UVW) for i in range(3))
-    lam2 = LAM * LAM
-    z = u.scale(scalar(2) * G * G / lam2) + v.scale(-ONE / LAM) + w.scale(scalar(-2) * G / lam2)
-    zb = u
-    x3 = u.scale(G / LAM) + w.scale(-ONE / LAM)
-    return (z, zb, x3)
+    """(z, zb, x3) in (u, v, w): the inverse of the forms.  Its determinant
+    is -lam^2, so the division stays in the Laurent ring."""
+    return _linear_images(_inverse3(_UVW_FORMS), SPACE_UVW)
+
+
+@lru_cache(maxsize=None)
+def _uvw_change_images():
+    """Images of the zzb generators (z, zb, x3, dz, dzb, d3) in the uvw
+    algebra: the variables by the inverse change, and by the chain rule each
+    derivative d/dx_j by sum_i M[i][j] d/du_i, column j of the forms M."""
+    M = _UVW_FORMS
+    ders = tuple(sum((derivative(i, SPACE_UVW).scale(M[i][j]) for i in range(3)),
+                     WeylOperator({}, SPACE_UVW))
+                 for j in range(3))
+    return tuple(multiplication(p) for p in _zzb_images_in_uvw()) + ders
 
 
 def uvw_poly_to_zzb(p: Poly3) -> Poly3:
@@ -295,10 +315,14 @@ def _covariance():
     A = [[lam, ZERO, -g],
          [ZERO, lam, I * g],
          [-g, I * g, lam]]
-    det = _det3(A)
-    adj = [[_cofactor(A, j, i) for j in range(3)] for i in range(3)]
     half = ONE / scalar(2)
-    return tuple(tuple(adj[i][j] / det * half for j in range(3)) for i in range(3)), det
+    return tuple(tuple(x * half for x in row) for row in _inverse3(A))
+
+
+def _inverse3(M):
+    """The inverse of a 3x3 matrix by cofactors."""
+    det = _det3(M)
+    return [[_cofactor(M, j, i) / det for j in range(3)] for i in range(3)]
 
 
 def _det3(M):
@@ -326,7 +350,7 @@ def _moment(e) -> ParamScalar:
     hit = _MOMENT_CACHE.get(e)
     if hit is not None:
         return hit
-    cov, _ = _covariance()
+    cov = _covariance()
     i = next(k for k in range(3) if e[k])
     total = ZERO
     base = list(e)

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
-                   poly_var, poly_one, variable, derivative, identity_op)
+                   DLOG_RULES, WEIGHT_STD, poly_var, poly_one, variable,
+                   derivative, identity_op, multiplication)
 from . import operators as _ops
 from .operators import check, record
 from . import fock as _fock
@@ -345,32 +346,9 @@ def d_p(p: int) -> WeylOperator:
 def _weight_conjugation_images():
     """Images of the zzb generators under conjugation by the ground state:
     each derivative picks up the logarithmic derivative of the weight."""
-    z, zb, x3 = (variable(i, SPACE_ZZB) for i in range(3))
-    dz, dzb, d3 = (derivative(i, SPACE_ZZB) for i in range(3))
-    half = scalar(Fraction(1, 2))
-    return (
-        z, zb, x3,
-        dz + zb.scale(-half * LAM),
-        dzb + z.scale(-half * LAM) + x3.scale(G),
-        d3 + x3.scale(-LAM) + zb.scale(G),
-    )
-
-
-@lru_cache(maxsize=None)
-def _uvw_change_images():
-    """Images of the zzb generators in the uvw algebra under the linear
-    change of variables (Jacobian -lam^2)."""
-    u, v, w = (variable(i, SPACE_UVW) for i in range(3))
-    du, dv, dw = (derivative(i, SPACE_UVW) for i in range(3))
-    lam, g = LAM, G
-    lam2 = lam * lam
-    z = (u.scale(scalar(2) * g * g) + v.scale(-lam) + w.scale(scalar(-2) * g)).scale(ONE / lam2)
-    zb = u
-    x3 = (u.scale(g) + w.scale(-ONE)).scale(ONE / lam)
-    dz_img = dv.scale(-lam)
-    dzb_img = du + dw.scale(g)
-    d3_img = dv.scale(scalar(2) * g) + dw.scale(-lam)
-    return (z, zb, x3, dz_img, dzb_img, d3_img)
+    rules = DLOG_RULES[WEIGHT_STD]
+    return (tuple(variable(i) for i in range(3))
+            + tuple(derivative(i) + multiplication(rules[i]) for i in range(3)))
 
 
 def conjugated_shift_in_uvw(p: int) -> WeylOperator:
@@ -379,7 +357,7 @@ def conjugated_shift_in_uvw(p: int) -> WeylOperator:
     cat = _ops.catalogue()
     shifted = cat["H"] - identity_op().scale(scalar(2 * p) * LAM)
     conj = shifted.substitute(_weight_conjugation_images())
-    return conj.substitute(_uvw_change_images())
+    return conj.substitute(_fock._uvw_change_images())
 
 
 def v_falling(n: int, i: int) -> Poly3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ParamScalar, LAM, G, I, ONE, scalar
+from .coeff import ParamScalar, LAM, G, I, ONE, scalar, _is_atomic
 from .weyl import (WeylOperator, SPACE_ZZB, variable, derivative, identity_op)
 
 __all__ = [
@@ -728,13 +728,9 @@ def _certificate(coeffs) -> str:
     parts = []
     for name in sorted(coeffs):
         cs = coeffs[name].render()
-        cs = cs if _ident_like(cs) else f"({cs})"
+        cs = cs if _is_atomic(cs) and "(" not in cs else f"({cs})"
         parts.append(f"{cs}*{name}" if name != "1" else cs)
     return " + ".join(parts)
-
-
-def _ident_like(s: str) -> bool:
-    return all(ch.isalnum() or ch in "_/*^" for ch in s)
 
 
 def verify_sp6_osp16_closure() -> list:

@@ -19,13 +19,15 @@ All values are immutable; operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product as _iproduct
 
-from .coeff import ParamScalar, ZERO, ONE, LAM, G, scalar
+from .coeff import ParamScalar, ZERO, ONE, LAM, G, scalar, power, _scalar_atomic
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
     "SPACE_ZZB", "SPACE_UVW", "SPACE_ABC", "variable", "derivative", "identity_op",
+    "multiplication",
 ]
 
 SPACE_ZZB = "zzb"
@@ -47,18 +49,6 @@ def _grlex_key(mono):
 
 def _clean(terms):
     return {m: c for m, c in terms.items() if not c.is_zero()}
-
-
-def _scalar_atomic(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(*/^":
-            return False
-    return True
 
 
 class SparseTerms:
@@ -132,18 +122,10 @@ class SparseTerms:
     __rmul__ = scale
 
     def __pow__(self, n: int):
-        """``self ** n`` by repeated squaring: the bit length of n plus its
-        count of one bits, less two, products."""
+        """``self ** n``, squaring repeatedly by :func:`quadosc.coeff.power`."""
         if n < 0:
             raise ValueError("negative power")
-        acc, base = None, self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self._new({self._UNIT: ONE}) if acc is None else acc
+        return power(self, n, operator.mul) if n else self._new({self._UNIT: ONE})
 
     def substitute(self, images):
         """The homomorphism that sends generator i to images[i] (all of one
@@ -256,18 +238,12 @@ class WeylOperator(SparseTerms):
         """Hermitian adjoint under the L2 product in the real coordinates.
 
         Reverses each monomial, conjugates coefficients, and applies the rules
-        z <-> zb, dz -> -dzb, dzb -> -dz, x3 -> x3, d3 -> -d3.  This is an
-        antilinear anti-homomorphism and an involution.
+        z <-> zb, dz -> -dzb, dzb -> -dz, x3 -> x3, d3 -> -d3: the transpose,
+        then the x2-parity swap, then complex conjugation of the coefficients.
+        This is an antilinear anti-homomorphism and an involution.
         """
-        if self.space != SPACE_ZZB:
-            raise ValueError("formal_adjoint is defined on the zzb space")
-        out = WeylOperator({}, self.space)
-        for (a, b, c, d, e, f), coeff in self.terms.items():
-            sign = -1 if (d + e + f) % 2 else 1
-            ders = WeylOperator({(0, 0, 0, e, d, f): scalar(sign)}, self.space)
-            vars_ = WeylOperator({(b, a, c, 0, 0, 0): coeff.conjugate()}, self.space)
-            out = out + ders * vars_
-        return out
+        swapped = self.transpose().eta_conjugate()
+        return swapped._new({m: c.conjugate() for m, c in swapped.terms.items()})
 
     def transpose(self) -> "WeylOperator":
         """Integration-by-parts transpose of the bilinear form (no conjugation,
@@ -298,29 +274,25 @@ class WeylOperator(SparseTerms):
         """Exact action on a polynomial-times-Gaussian state."""
         if self.space != SPACE_ZZB:
             raise ValueError("only zzb operators act on Gaussian states")
-        rules = state._dlog_rules()
-        out = Poly3({}, SPACE_ZZB)
-        for (a, b, c, d, e, f), coeff in self.terms.items():
-            p = state.poly
-            for axis, count in ((0, d), (1, e), (2, f)):
-                for _ in range(count):
-                    p = p.diff(axis) + p * rules[axis]
-            p = p * _var_mono(SPACE_ZZB, (a, b, c))
-            out = out + p.scale(coeff)
-        return GaussianState(out, state.weight)
+        return GaussianState(self._act(state.poly, DLOG_RULES[state.weight]), state.weight)
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
         """Action on a bare polynomial (no Gaussian weight attached)."""
         if self.space != poly.space:
             raise ValueError("operator and polynomial space mismatch")
+        return self._act(poly, None)
+
+    def _act(self, poly: "Poly3", rules) -> "Poly3":
+        """The polynomial part of the action on ``poly`` times a weight whose
+        logarithmic derivatives are ``rules`` (None: no weight).  The
+        derivative d_i acts on a weighted polynomial as d_i + rules[i]."""
         out = Poly3({}, poly.space)
         for (a, b, c, d, e, f), coeff in self.terms.items():
             p = poly
             for axis, count in ((0, d), (1, e), (2, f)):
                 for _ in range(count):
-                    p = p.diff(axis)
-            p = p * _var_mono(poly.space, (a, b, c))
-            out = out + p.scale(coeff)
+                    p = p.diff(axis) if rules is None else p.diff(axis) + p * rules[axis]
+            out = out + p * Poly3({(a, b, c): coeff}, poly.space)
         return out
 
 
@@ -370,6 +342,11 @@ def derivative(i: int, space=SPACE_ZZB) -> WeylOperator:
     return WeylOperator({tuple(mono): ONE}, space)
 
 
+def multiplication(poly: "Poly3") -> WeylOperator:
+    """The operator that multiplies by ``poly``."""
+    return WeylOperator({m + (0, 0, 0): c for m, c in poly.terms.items()}, poly.space)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials and states
 # ---------------------------------------------------------------------------
@@ -412,10 +389,6 @@ class Poly3(SparseTerms):
         return self._new({(b, a, c): v for (a, b, c), v in self.terms.items()})
 
 
-def _var_mono(space, exps) -> Poly3:
-    return Poly3({tuple(exps): ONE}, space)
-
-
 def poly_one(space=SPACE_ZZB) -> Poly3:
     return Poly3({(0, 0, 0): ONE}, space)
 
@@ -429,7 +402,20 @@ def poly_var(i, space=SPACE_ZZB) -> Poly3:
 WEIGHT_STD = "psi0"
 WEIGHT_SWAPPED = "psi0_swapped"
 
-_HALF = scalar(1) / scalar(2)
+def _psi0_dlog_rules():
+    """(d_z, d_zb, d_3) log Psi0 and the same for its x2-parity image, whose
+    rule in slot dz is the swapped rule of slot dzb and vice versa."""
+    z, zb, x3 = (poly_var(i) for i in range(3))
+    half = scalar(1) / scalar(2)
+    std = (zb.scale(-half * LAM),
+           z.scale(-half * LAM) + x3.scale(G),
+           x3.scale(-LAM) + zb.scale(G))
+    dz, dzb, d3 = (rule.swap01() for rule in std)
+    return {WEIGHT_STD: std, WEIGHT_SWAPPED: (dzb, dz, d3)}
+
+
+# The logarithmic derivatives of each Gaussian weight, by weight name.
+DLOG_RULES = _psi0_dlog_rules()
 
 
 class GaussianState:
@@ -449,16 +435,6 @@ class GaussianState:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
-
-    def _dlog_rules(self):
-        z, zb, x3 = (poly_var(i) for i in range(3))
-        if self.weight == WEIGHT_STD:
-            return (zb.scale(-_HALF * LAM),
-                    z.scale(-_HALF * LAM) + x3.scale(G),
-                    x3.scale(-LAM) + zb.scale(G))
-        return (zb.scale(-_HALF * LAM) + x3.scale(G),
-                z.scale(-_HALF * LAM),
-                x3.scale(-LAM) + z.scale(G))
 
     def __add__(self, other):
         if self.weight != other.weight:

@@ -61,6 +61,7 @@ def test_suites_never_import_sympy():
             main(["verify", "--suite", "sp6"])
             main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"])
             main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1"])
+            main(["verify", "--suite", "uvw", "--max-n", "1"])
             main(["commutator", "[A+,B-]"])
             main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"])
             main(["inner", "A+*B+", "C+^2"])

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from quadosc.coeff import LAM, G, ONE, scalar
-from quadosc.weyl import SPACE_UVW, Poly3, poly_var, poly_one, variable, derivative
+from quadosc.weyl import (SPACE_UVW, Poly3, poly_var, poly_one, variable, derivative,
+                          identity_op)
 from quadosc import operators as ops
 from quadosc import jordan as J
 from quadosc import fock
@@ -169,8 +170,38 @@ def test_raising_letters_in_the_uvw_picture():
     cat = ops.catalogue()
     for name, op in expected.items():
         picture = (cat[name].substitute(J._weight_conjugation_images())
-                   .substitute(J._uvw_change_images()))
+                   .substitute(fock._uvw_change_images()))
         assert picture == op, name
+
+
+def test_uvw_change_images_match_their_table():
+    # the images that fock derives from the forward forms, against the table
+    # once written out by hand
+    u, v, w = (variable(i, SPACE_UVW) for i in range(3))
+    du, dv, dw = (derivative(i, SPACE_UVW) for i in range(3))
+    lam2 = LAM * LAM
+    table = (
+        (u.scale(2 * G * G) + v.scale(-LAM) + w.scale(-2 * G)).scale(ONE / lam2),
+        u,
+        (u.scale(G) + w.scale(-ONE)).scale(ONE / LAM),
+        dv.scale(-LAM),
+        du + dw.scale(G),
+        dv.scale(2 * G) + dw.scale(-LAM),
+    )
+    assert fock._uvw_change_images() == table
+    assert fock._zzb_images_in_uvw() == tuple(
+        Poly3({m[:3]: c for m, c in x.terms.items()}, SPACE_UVW) for x in table[:3])
+
+
+def test_uvw_change_images_keep_the_commutation_relations():
+    images = fock._uvw_change_images()
+    xs, ds = images[:3], images[3:]
+    ident = identity_op(SPACE_UVW)
+    for i in range(3):
+        for j in range(3):
+            assert ds[i].commutator(xs[j]) == (ident if i == j else ident.scale(0)), (i, j)
+            assert xs[i].commutator(xs[j]).is_zero(), (i, j)
+            assert ds[i].commutator(ds[j]).is_zero(), (i, j)
 
 
 def test_uvw_layer_suite_small():

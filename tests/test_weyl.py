@@ -130,6 +130,33 @@ def test_apply_is_module_action(a, b, s):
 
 
 @_SLOW_OK
+@given(operators(), states())
+def test_eta_intertwines_the_action(a, s):
+    # the x2-parity map carries an operator acting on a state to the swapped
+    # operator acting on the swapped state, from either weight
+    for state in (s, s.eta_apply()):
+        assert a.apply(state).eta_apply() == a.eta_conjugate().apply(state.eta_apply())
+
+
+def adjoint_oracle(a):
+    """The Hermitian adjoint monomial by monomial: each x^(p,q,r) d^(d,e,f)
+    goes to (-1)^(d+e+f) d^(e,d,f) x^(q,p,r), coefficient conjugated."""
+    out = WeylOperator({}, SPACE_ZZB)
+    for (p, q, r, d, e, f), coeff in a.terms.items():
+        sign = -1 if (d + e + f) % 2 else 1
+        ders = WeylOperator({(0, 0, 0, e, d, f): scalar(sign)}, SPACE_ZZB)
+        vars_ = WeylOperator({(q, p, r, 0, 0, 0): coeff.conjugate()}, SPACE_ZZB)
+        out = out + ders * vars_
+    return out
+
+
+@_SLOW_OK
+@given(operators())
+def test_adjoint_matches_the_monomial_rule(a):
+    assert a.formal_adjoint() == adjoint_oracle(a)
+
+
+@_SLOW_OK
 @given(operators(), operators(), operators())
 def test_jacobi_identity(a, b, c):
     total = (a.commutator(b.commutator(c))
