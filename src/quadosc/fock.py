@@ -26,7 +26,7 @@ from itertools import product
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
                    SPACE_ABC, WEIGHT_STD, ground_state, poly_var, derivative,
-                   multiplication)
+                   multiplication, _add_into, _conjugated)
 from . import operators as _ops
 
 __all__ = [
@@ -231,6 +231,13 @@ def _uvw_change_images():
     return tuple(multiplication(p) for p in _zzb_images_in_uvw()) + ders
 
 
+@lru_cache(maxsize=None)
+def uvw_picture(op: WeylOperator) -> WeylOperator:
+    """A zzb operator conjugated by Psi0 and written in (u, v, w): its action
+    on poly * Psi0, read on the (u, v, w) form of poly."""
+    return _conjugated(op, WEIGHT_STD).substitute(_uvw_change_images())
+
+
 def uvw_poly_to_zzb(p: Poly3) -> Poly3:
     return p.substitute(_uvw_images_in_zzb())
 
@@ -260,10 +267,10 @@ def _word_uvw_poly(word) -> Poly3:
 
 def creation_to_uvw(p: CreationPolynomial) -> Poly3:
     """Exact wavefunction of a creation polynomial in the (u, v, w) variables."""
-    out = Poly3({}, SPACE_UVW)
+    out = {}
     for word, c in p.terms.items():
-        out = out + _word_uvw_poly(word).scale(c)
-    return out
+        _add_into(out, _word_uvw_poly(word).terms, c)
+    return Poly3(out, SPACE_UVW)
 
 
 def uvw_to_creation(p: Poly3) -> CreationPolynomial:
@@ -283,17 +290,18 @@ def uvw_to_creation(p: Poly3) -> CreationPolynomial:
         mono, coeff = max(residue.terms.items(), key=lambda t: (sum(t[0]), t[0]))
         i, j, l = mono
         c = coeff / (minus_2lam ** i * two ** l)
-        out[mono] = out.get(mono, ZERO) + c
+        cur = out.get(mono)
+        out[mono] = c if cur is None else cur + c
         residue = residue - _word_uvw_poly(mono).scale(c)
     return CreationPolynomial(out)
 
 
 def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
     """The wavefunction of a creation polynomial, as poly(z, zb, x3) * Psi0."""
-    out = Poly3({}, SPACE_ZZB)
+    out = {}
     for word, c in p.terms.items():
-        out = out + _word_state(word).poly.scale(c)
-    return GaussianState(out)
+        _add_into(out, _word_state(word).poly.terms, c)
+    return GaussianState(Poly3(out, SPACE_ZZB))
 
 
 def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:

@@ -16,8 +16,7 @@ from functools import lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
-                   DLOG_RULES, WEIGHT_STD, poly_var, poly_one, variable,
-                   derivative, identity_op, multiplication)
+                   poly_var, poly_one, variable, derivative, identity_op)
 from . import operators as _ops
 from .operators import check, record
 from . import fock as _fock
@@ -342,22 +341,12 @@ def d_p(p: int) -> WeylOperator:
     )
 
 
-@lru_cache(maxsize=None)
-def _weight_conjugation_images():
-    """Images of the zzb generators under conjugation by the ground state:
-    each derivative picks up the logarithmic derivative of the weight."""
-    rules = DLOG_RULES[WEIGHT_STD]
-    return (tuple(variable(i) for i in range(3))
-            + tuple(derivative(i) + multiplication(rules[i]) for i in range(3)))
-
-
 def conjugated_shift_in_uvw(p: int) -> WeylOperator:
     """The operator (H - 2*lam*p) conjugated by the ground state and written
-    in the (u, v, w) variables; the independent route to d_p."""
-    cat = _ops.catalogue()
-    shifted = cat["H"] - identity_op().scale(scalar(2 * p) * LAM)
-    conj = shifted.substitute(_weight_conjugation_images())
-    return conj.substitute(_fock._uvw_change_images())
+    in the (u, v, w) variables, where the constant shift stays as it is; the
+    independent route to d_p."""
+    shift = identity_op(SPACE_UVW).scale(scalar(2 * p) * LAM)
+    return _fock.uvw_picture(_ops.catalogue()["H"]) - shift
 
 
 def v_falling(n: int, i: int) -> Poly3:

@@ -51,23 +51,20 @@ def record(ident: str, anchor: str, lhs, rhs, note: str = "") -> IdentityRecord:
     """Build a record from two operators/states/scalars with exact equality."""
     t0 = time.perf_counter()
     residual = lhs - rhs
-    zero = residual.is_zero()
-    ms = (time.perf_counter() - t0) * 1000.0
-    return IdentityRecord(
-        id=ident, anchor=anchor,
-        status="verified" if zero else "failed",
-        residual="0" if zero else residual.render(),
-        ms=ms, note=note)
+    return check(ident, anchor, residual.is_zero(), residual, note,
+                 (time.perf_counter() - t0) * 1000.0)
 
 
-def check(ident: str, anchor: str, ok: bool, residual, note: str = "") -> IdentityRecord:
+def check(ident: str, anchor: str, ok: bool, residual, note: str = "",
+          ms: float = 0.0) -> IdentityRecord:
     """Build a record from a verdict computed by the caller.  ``residual`` is
-    a string or a value with ``render()``, shown only when the check fails."""
+    a string or a value with ``render()``, shown only when the check fails;
+    ``ms`` is the time the caller measured for the verdict."""
     if ok:
-        return IdentityRecord(ident, anchor, "verified", "0", note=note)
+        return IdentityRecord(ident, anchor, "verified", "0", ms, note)
     if not isinstance(residual, str):
         residual = residual.render()
-    return IdentityRecord(ident, anchor, "failed", residual, note=note)
+    return IdentityRecord(ident, anchor, "failed", residual, ms, note)
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +741,8 @@ def verify_sp6_osp16_closure() -> list:
         t0 = time.perf_counter()
         coeffs = solver.express(target)
         ms = (time.perf_counter() - t0) * 1000.0
-        if coeffs is None:
-            out.append(IdentityRecord(ident, anchor, "failed",
-                                      residual=target.render(), ms=ms))
-        else:
-            out.append(IdentityRecord(ident, anchor, "verified", residual="0",
-                                      ms=ms, note=f"= {_certificate(coeffs)}"))
+        note = "" if coeffs is None else f"= {_certificate(coeffs)}"
+        out.append(check(ident, anchor, coeffs is not None, target, note, ms))
 
     e_names = [f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     d_names = [f"D{t}{i}{j}" for t in ("+", "-") for i in range(1, 4) for j in range(i, 4)]

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from itertools import product as _iproduct
 
-from .coeff import ParamScalar, ZERO, ONE, LAM, G, scalar, power, _scalar_atomic
+from .coeff import ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
@@ -49,6 +50,16 @@ def _grlex_key(mono):
 
 def _clean(terms):
     return {m: c for m, c in terms.items() if not c.is_zero()}
+
+
+def _add_into(out, terms, scale=None):
+    """Add ``terms`` (each times ``scale``, when given) into the dict ``out``
+    in place; the caller cleans zeros once, when it builds the result."""
+    for m, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        cur = out.get(m)
+        out[m] = c if cur is None else cur + c
 
 
 class SparseTerms:
@@ -94,8 +105,7 @@ class SparseTerms:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+        _add_into(out, other.terms)
         return self._new(out)
 
     __radd__ = __add__
@@ -132,17 +142,17 @@ class SparseTerms:
         class and space), applied monomial by monomial in generator order."""
         unit = images[0]._new({images[0]._UNIT: ONE})
         powers = [[unit, image] for image in images]
-        out = images[0]._new({})
+        out = {}
         for mono, coeff in self.terms.items():
-            term = None
+            term = unit
             for i, e in enumerate(mono):
                 if e:
                     row = powers[i]
                     while len(row) <= e:
                         row.append(row[-1] * images[i])
-                    term = row[e] if term is None else term * row[e]
-            out = out + (unit if term is None else term).scale(coeff)
-        return out
+                    term = row[e] if term is unit else term * row[e]
+            _add_into(out, term.terms, coeff)
+        return unit._new(out)
 
     # -- comparison ---------------------------------------------------------
 
@@ -250,13 +260,13 @@ class WeylOperator(SparseTerms):
         variables fixed, each derivative maps to minus itself)."""
         if self.space != SPACE_ZZB:
             raise ValueError("transpose is defined on the zzb space")
-        out = WeylOperator({}, self.space)
+        out = {}
         for (a, b, c, d, e, f), coeff in self.terms.items():
             sign = -1 if (d + e + f) % 2 else 1
             ders = WeylOperator({(0, 0, 0, d, e, f): scalar(sign)}, self.space)
             vars_ = WeylOperator({(a, b, c, 0, 0, 0): coeff}, self.space)
-            out = out + ders * vars_
-        return out
+            _add_into(out, (ders * vars_).terms)
+        return self._new(out)
 
     def eta_conjugate(self) -> "WeylOperator":
         """Conjugation by the x2-parity operator: the linear swap z <-> zb,
@@ -271,29 +281,29 @@ class WeylOperator(SparseTerms):
     # -- action on states ---------------------------------------------------
 
     def apply(self, state: "GaussianState") -> "GaussianState":
-        """Exact action on a polynomial-times-Gaussian state."""
+        """Exact action on a polynomial-times-Gaussian state: the operator
+        conjugated by the state's weight, acting on the polynomial part."""
         if self.space != SPACE_ZZB:
             raise ValueError("only zzb operators act on Gaussian states")
-        return GaussianState(self._act(state.poly, DLOG_RULES[state.weight]), state.weight)
+        return GaussianState(_conjugated(self, state.weight).apply_poly(state.poly),
+                             state.weight)
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
-        """Action on a bare polynomial (no Gaussian weight attached)."""
+        """Action on a bare polynomial: x^a d^d sends x^q to q!/(q-d)! x^(q-d+a)
+        in each variable, the fully contracted term of :func:`_reorder`'s formula."""
         if self.space != poly.space:
             raise ValueError("operator and polynomial space mismatch")
-        return self._act(poly, None)
-
-    def _act(self, poly: "Poly3", rules) -> "Poly3":
-        """The polynomial part of the action on ``poly`` times a weight whose
-        logarithmic derivatives are ``rules`` (None: no weight).  The
-        derivative d_i acts on a weighted polynomial as d_i + rules[i]."""
-        out = Poly3({}, poly.space)
-        for (a, b, c, d, e, f), coeff in self.terms.items():
-            p = poly
-            for axis, count in ((0, d), (1, e), (2, f)):
-                for _ in range(count):
-                    p = p.diff(axis) if rules is None else p.diff(axis) + p * rules[axis]
-            out = out + p * Poly3({(a, b, c): coeff}, poly.space)
-        return out
+        perm = math.perm
+        out = {}
+        for (a, b, c, d, e, f), c1 in self.terms.items():
+            for (p, q, r), c2 in poly.terms.items():
+                if p >= d and q >= e and r >= f:
+                    k = perm(p, d) * perm(q, e) * perm(r, f)
+                    m = (p - d + a, q - e + b, r - f + c)
+                    add = c1 * c2 if k == 1 else c1 * c2 * k
+                    cur = out.get(m)
+                    out[m] = add if cur is None else cur + add
+        return poly._new(out)
 
 
 _REORDER_CACHE = {}
@@ -369,19 +379,6 @@ class Poly3(SparseTerms):
             return self._new(out)
         return self.scale(other)
 
-    def diff(self, axis: int) -> "Poly3":
-        out = {}
-        for m, c in self.terms.items():
-            e = m[axis]
-            if e:
-                m2 = list(m)
-                m2[axis] = e - 1
-                m2 = tuple(m2)
-                add = c * e
-                cur = out.get(m2)
-                out[m2] = add if cur is None else cur + add
-        return self._new(out)
-
     substitute = SparseTerms.substitute
 
     def swap01(self) -> "Poly3":
@@ -402,20 +399,29 @@ def poly_var(i, space=SPACE_ZZB) -> Poly3:
 WEIGHT_STD = "psi0"
 WEIGHT_SWAPPED = "psi0_swapped"
 
-def _psi0_dlog_rules():
-    """(d_z, d_zb, d_3) log Psi0 and the same for its x2-parity image, whose
-    rule in slot dz is the swapped rule of slot dzb and vice versa."""
-    z, zb, x3 = (poly_var(i) for i in range(3))
+def _conjugation_images():
+    """Images of the generators (z, zb, x3, dz, dzb, d3) under conjugation by
+    each weight, by weight name: Psi0^-1 d_i Psi0 = d_i + (d_i log Psi0).  The
+    swapped weight's are the x2-parity images, slots dz and dzb exchanged."""
+    z, zb, x3, dz, dzb, d3 = [variable(i) for i in range(3)] + [derivative(i) for i in range(3)]
     half = scalar(1) / scalar(2)
-    std = (zb.scale(-half * LAM),
-           z.scale(-half * LAM) + x3.scale(G),
-           x3.scale(-LAM) + zb.scale(G))
-    dz, dzb, d3 = (rule.swap01() for rule in std)
-    return {WEIGHT_STD: std, WEIGHT_SWAPPED: (dzb, dz, d3)}
+    std = (z, zb, x3,
+           dz + zb.scale(-half * LAM),
+           dzb + z.scale(-half * LAM) + x3.scale(G),
+           d3 + x3.scale(-LAM) + zb.scale(G))
+    swapped = tuple(std[j].eta_conjugate() for j in (1, 0, 2, 4, 3, 5))
+    return {WEIGHT_STD: std, WEIGHT_SWAPPED: swapped}
 
 
-# The logarithmic derivatives of each Gaussian weight, by weight name.
-DLOG_RULES = _psi0_dlog_rules()
+CONJUGATION_IMAGES = _conjugation_images()
+
+
+@lru_cache(maxsize=16)
+def _conjugated(op: WeylOperator, weight: str) -> WeylOperator:
+    """Psi^-1 op Psi for the Gaussian ``weight`` Psi: the operator whose action
+    on a bare polynomial is ``op``'s action on the polynomial times Psi.  The
+    bound keeps the catalogue's letters warm and lets one-off operators go."""
+    return op.substitute(CONJUGATION_IMAGES[weight])
 
 
 class GaussianState:

@@ -136,6 +136,13 @@ def test_verify_timing_opt_in(tmp_path, capsys):
     assert any(rec["ms"] > 0 for rec in doc["records"])
 
 
+def test_verify_timing_fills_the_sp6_certificates(tmp_path, capsys):
+    path = tmp_path / "sp6.json"
+    run(capsys, "verify", "--suite", "sp6", "--json", str(path), "--timing")
+    doc = json.loads(path.read_text())
+    assert doc["records"] and all(rec["ms"] > 0 for rec in doc["records"])
+
+
 def test_report_merge(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -259,3 +266,17 @@ def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
     # change updates this digest and perfbench/reference/ together
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "b5f4ca513d5f580d374fe85e3d7f6fe3044e155c65b4e3cbfe8c401a2917f671"
+
+
+@pytest.mark.parametrize("suite, want_code, digest", [
+    ("jordan", 0, "5fd1cc0f7d0052547d0bea6e96581d21fcbaa92f8efb5001d2d35bacd158ee5f"),
+    ("biortho", 1, "565cb997934e5e05c720fcae5274bf9118a0547a58420c52f9318e9424510396"),
+], ids=["jordan", "biortho"])
+def test_reports_past_desk_scale_are_pinned(tmp_path, capsys, suite, want_code, digest):
+    # the same refactor gate at K = 4, where the block layers reach further;
+    # biortho exits 1 on the documented record alone
+    path = tmp_path / f"{suite}.json"
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--max-k", "4", "--max-n", "4",
+                     "--json", str(path))
+    assert code == want_code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

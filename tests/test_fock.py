@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadosc.coeff import LAM, G, ONE, ZERO, scalar
 from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
-                          poly_var)
+                          SPACE_UVW, poly_var)
 from quadosc import fock
 from quadosc import operators as ops
 from quadosc.fock import CreationPolynomial, wick_inner, gaussian_moment_inner
@@ -237,6 +237,23 @@ def test_word_states_do_not_depend_on_letter_order():
                     for _ in range(count):
                         state = cat[letter].apply(state)
                 assert fock.to_gaussian_state(CreationPolynomial.word(i, j, l)) == state
+
+
+def test_word_uvw_polys_match_the_raising_letters_in_the_uvw_picture():
+    # a word's (u, v, w) form, its zzb state carried over by the change of
+    # variables, against the raising letters applied in the (u, v, w)
+    # picture to 1, A+ outermost
+    cat = ops.catalogue()
+    raising = [fock.uvw_picture(cat[f"{letter}+"]) for letter in "ABC"]
+    for d in range(6):
+        for i in range(d + 1):
+            for j in range(d - i + 1):
+                word = (i, j, d - i - j)
+                p = Poly3({(0, 0, 0): ONE}, SPACE_UVW)
+                for axis in (2, 1, 0):
+                    for _ in range(word[axis]):
+                        p = raising[axis].apply_poly(p)
+                assert fock._word_uvw_poly(word) == p, word
 
 
 @settings(max_examples=20, deadline=None)

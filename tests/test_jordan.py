@@ -169,9 +169,7 @@ def test_raising_letters_in_the_uvw_picture():
     }
     cat = ops.catalogue()
     for name, op in expected.items():
-        picture = (cat[name].substitute(J._weight_conjugation_images())
-                   .substitute(fock._uvw_change_images()))
-        assert picture == op, name
+        assert fock.uvw_picture(cat[name]) == op, name
 
 
 def test_uvw_change_images_match_their_table():

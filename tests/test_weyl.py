@@ -9,7 +9,8 @@ _SLOW_OK = settings(max_examples=20, deadline=None,
                                            HealthCheck.filter_too_much])
 
 from quadosc.coeff import LAM, G, I, ONE, scalar
-from quadosc.weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB,
+from quadosc.weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
+                          WEIGHT_STD, WEIGHT_SWAPPED,
                           variable, derivative, identity_op, ground_state,
                           poly_var, poly_one)
 from quadosc.operators import catalogue
@@ -86,20 +87,20 @@ def small_scalars():
     return st.sampled_from([ONE, -ONE, LAM, G, I, LAM * G, ONE + G, scalar(2)])
 
 
-def monomials():
-    e = st.integers(0, 1)
+def monomials(top=1):
+    e = st.integers(0, top)
     return st.tuples(e, e, e, e, e, e)
 
 
-def operators():
-    term = st.tuples(monomials(), small_scalars())
+def operators(top=1):
+    term = st.tuples(monomials(top), small_scalars())
     return st.builds(
         lambda ts: WeylOperator({m: c for m, c in ts}, SPACE_ZZB),
         st.lists(term, min_size=0, max_size=3))
 
 
-def states():
-    e = st.integers(0, 2)
+def states(top=2):
+    e = st.integers(0, top)
     term = st.tuples(st.tuples(e, e, e), small_scalars())
     return st.builds(
         lambda ts: GaussianState(Poly3({m: c for m, c in ts}, SPACE_ZZB)),
@@ -138,6 +139,64 @@ def test_eta_intertwines_the_action(a, s):
         assert a.apply(state).eta_apply() == a.eta_conjugate().apply(state.eta_apply())
 
 
+def diff_oracle(poly, axis):
+    """d/dx_axis of a bare polynomial, term by term."""
+    out = Poly3({}, poly.space)
+    for m, c in poly.terms.items():
+        if m[axis]:
+            lower = list(m)
+            lower[axis] -= 1
+            out = out + Poly3({tuple(lower): c * m[axis]}, poly.space)
+    return out
+
+
+def _std_dlog_rules():
+    """(d_z, d_zb, d_3) log Psi0, written out by hand."""
+    z, zb, x3 = (poly_var(i) for i in range(3))
+    half_lam = LAM / scalar(2)
+    return (zb.scale(-half_lam),
+            z.scale(-half_lam) + x3.scale(G),
+            x3.scale(-LAM) + zb.scale(G))
+
+
+_STD = _std_dlog_rules()
+# the swapped weight's rule in slot dz is the parity image of slot dzb's
+DLOG_RULES = {WEIGHT_STD: _STD,
+              WEIGHT_SWAPPED: tuple(_STD[j].swap01() for j in (1, 0, 2))}
+
+
+def act_oracle(a, poly, rules=None):
+    """The action of ``a`` on ``poly`` times a weight with logarithmic
+    derivatives ``rules`` (None: no weight), one derivative at a time: d_i
+    acts on a weighted polynomial p as p -> d_i p + rules[i] * p."""
+    out = Poly3({}, poly.space)
+    for (p, q, r, d, e, f), coeff in a.terms.items():
+        cur = poly
+        for axis, count in ((0, d), (1, e), (2, f)):
+            for _ in range(count):
+                step = diff_oracle(cur, axis)
+                cur = step if rules is None else step + cur * rules[axis]
+        out = out + cur * Poly3({(p, q, r): coeff}, poly.space)
+    return out
+
+
+@_SLOW_OK
+@given(operators(2), states())
+def test_apply_matches_the_log_derivative_rule(a, s):
+    # conjugating by the weight once, against d_i + (d_i log Psi) per step
+    for state in (s, s.eta_apply()):
+        assert a.apply(state).poly == act_oracle(a, state.poly, DLOG_RULES[state.weight])
+
+
+@_SLOW_OK
+@given(operators(3), states(3), st.sampled_from([SPACE_ZZB, SPACE_UVW]))
+def test_apply_poly_matches_iterated_derivatives(a, s, space):
+    # the falling-factorial contraction against one derivative at a time
+    op = WeylOperator(a.terms, space)
+    poly = Poly3(s.poly.terms, space)
+    assert op.apply_poly(poly) == act_oracle(op, poly)
+
+
 def adjoint_oracle(a):
     """The Hermitian adjoint monomial by monomial: each x^(p,q,r) d^(d,e,f)
     goes to (-1)^(d+e+f) d^(e,d,f) x^(q,p,r), coefficient conjugated."""
@@ -166,7 +225,6 @@ def test_jacobi_identity(a, b, c):
 
 
 def test_space_mismatch_rejected():
-    from quadosc.weyl import SPACE_UVW
     u = variable(0, SPACE_UVW)
     with pytest.raises(ValueError):
         _ = Z + u
