@@ -223,24 +223,27 @@ class WeylOperator(SparseTerms):
     def __mul__(self, other):
         if isinstance(other, WeylOperator):
             self._check(other)
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    c12 = c1 * c2
-                    for m, k in _reorder(m1, m2):
-                        cur = out.get(m)
-                        add = c12 if k == 1 else c12 * k
-                        out[m] = add if cur is None else cur + add
-            return self._new(out)
+            return self._new(_contract(self.terms, other.terms, _reorder))
         if isinstance(other, (int, ParamScalar)):
             return self.scale(other)
         return NotImplemented
 
-    def commutator(self, other) -> "WeylOperator":
-        return self * other - other * self
+    def commutator(self, other):
+        return self._bracket(other, -1)
 
-    def anticommutator(self, other) -> "WeylOperator":
-        return self * other + other * self
+    def anticommutator(self, other):
+        return self._bracket(other, 1)
+
+    def _bracket(self, other, sign):
+        """``self*other + sign*other*self``, each term pair contracted once by
+        :func:`_bracket_terms`.  Scalars act as multiples of the identity; any
+        other operand (the s-extension) takes the bracket over."""
+        coerced = self._coerce(other)
+        if coerced is None:
+            flipped = other._bracket(self, sign)
+            return flipped if sign == 1 else -flipped
+        self._check(coerced)
+        return self._new(_contract(self.terms, coerced.terms, _bracket_terms, sign))
 
     # -- involutions --------------------------------------------------------
 
@@ -306,7 +309,25 @@ class WeylOperator(SparseTerms):
         return poly._new(out)
 
 
+def _contract(terms1, terms2, expand, *args):
+    """Sum over term pairs of ``c1*c2`` times ``expand(m1, m2, *args)``, the
+    pair's normal-ordered expansion as (monomial, int weight) pairs.  A pair
+    that expands to nothing costs no scalar product."""
+    out = {}
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            pairs = expand(m1, m2, *args)
+            if pairs:
+                c12 = c1 * c2
+                for m, k in pairs:
+                    add = c12 if k == 1 else c12 * k
+                    cur = out.get(m)
+                    out[m] = add if cur is None else cur + add
+    return out
+
+
 _REORDER_CACHE = {}
+_BRACKET_CACHE = {}
 
 
 def _reorder(m1, m2):
@@ -332,6 +353,22 @@ def _reorder(m1, m2):
                 d1[0] + d2[0] - j[0], d1[1] + d2[1] - j[1], d1[2] + d2[2] - j[2])
         out.append((mono, w))
     _REORDER_CACHE[key] = out
+    return out
+
+
+def _bracket_terms(m1, m2, sign):
+    """Expansion of (m1*m2 + sign*m2*m1) in normal order: :func:`_reorder`'s
+    two lists with their weights merged and the zeros dropped.  For sign -1
+    the uncontracted (j = 0) terms cancel, so a commuting pair expands to []."""
+    key = (m1, m2, sign)
+    hit = _BRACKET_CACHE.get(key)
+    if hit is not None:
+        return hit
+    merged = dict(_reorder(m1, m2))
+    for m, w in _reorder(m2, m1):
+        merged[m] = merged.get(m, 0) + sign * w
+    out = [(m, w) for m, w in merged.items() if w]
+    _BRACKET_CACHE[key] = out
     return out
 
 

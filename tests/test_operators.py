@@ -1,8 +1,12 @@
 """Catalogue identities: ladder relations, the nine-dimensional algebra,
 gl(3), the boson layer, and the integrals of motion."""
 
+import time
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from quadosc.coeff import LAM, G, ONE, scalar
-from quadosc.weyl import identity_op
+from quadosc.weyl import WeylOperator, SPACE_ZZB, identity_op
 from quadosc import operators as ops
 
 
@@ -97,6 +101,39 @@ def test_plain_operator_meets_boson_element_from_either_side():
     assert not e11.commutator(a1p).is_zero()
 
 
+def weyl_operators():
+    e = st.integers(0, 1)
+    term = st.tuples(st.tuples(e, e, e, e, e, e),
+                     st.sampled_from([ONE, -ONE, LAM, G, LAM * G, ONE + G, scalar(2)]))
+    return st.builds(lambda ts: WeylOperator(dict(ts), SPACE_ZZB),
+                     st.lists(term, max_size=3))
+
+
+def extension_elements():
+    return st.builds(ops.SqrtTwoLamOperator, weyl_operators(), weyl_operators())
+
+
+_BRACKET_SETTINGS = settings(max_examples=25, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@_BRACKET_SETTINGS
+@given(extension_elements(), extension_elements())
+def test_extension_bracket_matches_its_product(x, y):
+    # the bracket by parts against the extension's own product
+    assert x.commutator(y) == x * y - y * x
+    assert x.anticommutator(y) == x * y + y * x
+
+
+@_BRACKET_SETTINGS
+@given(extension_elements(), weyl_operators(), st.sampled_from([3, -1, LAM, LAM * G]))
+def test_extension_bracket_with_mixed_operands(x, w, k):
+    # plain operators and scalars meet the extension from either side
+    for left, right in ((x, w), (w, x), (x, k), (w, k)):
+        assert left.commutator(right) == left * right - right * left
+        assert left.anticommutator(right) == left * right + right * left
+
+
 def test_sqrt_extension_ring():
     s = ops.SqrtTwoLamOperator.s_times(identity_op())
     assert s * s == ops.SqrtTwoLamOperator.of(identity_op().scale(2 * LAM))
@@ -109,6 +146,18 @@ def test_sp6_closure_suite():
     assert notes["sp6/[D-11,D+11]"] == "= 4*E11"
     assert notes["osp16/{a1+,a1+}"] == "= 2*D+11"
     assert notes["osp16/{a1+,a1-}"] == "= 2*E11"
+
+
+def test_sp6_timing_covers_the_bracket(monkeypatch):
+    # a closure certificate's ms (shown by --timing) includes its bracket
+    bracket = ops.SqrtTwoLamOperator._bracket
+
+    def slow_bracket(self, other, sign):
+        time.sleep(0.002)
+        return bracket(self, other, sign)
+
+    monkeypatch.setattr(ops.SqrtTwoLamOperator, "_bracket", slow_bracket)
+    assert all(r.ms >= 2.0 for r in ops.verify_sp6_osp16_closure())
 
 
 def test_integrals_suite():

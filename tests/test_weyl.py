@@ -224,6 +224,20 @@ def test_jacobi_identity(a, b, c):
     assert total.is_zero()
 
 
+@_SLOW_OK
+@given(operators(2), st.one_of(operators(2), small_scalars(), st.integers(-2, 2)))
+def test_bracket_kernel_matches_the_products(a, b):
+    # the kernel contracts each term pair once; the products build ab and ba
+    # in full, so the zero operator, constants and scalars all take both paths
+    assert a.commutator(b) == a * b - b * a
+    assert a.anticommutator(b) == a * b + b * a
+    if isinstance(b, WeylOperator):
+        other = WeylOperator(b.terms, SPACE_UVW)
+        for bracket in (a.commutator, a.anticommutator):
+            with pytest.raises(ValueError):
+                bracket(other)
+
+
 def test_space_mismatch_rejected():
     u = variable(0, SPACE_UVW)
     with pytest.raises(ValueError):
