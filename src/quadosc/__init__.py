@@ -6,7 +6,7 @@ two model parameters, so every verified identity is an exact statement, not a
 numerical one.
 """
 
-from .coeff import GaussianRational, ParamScalar, LAM, G, I
+from .coeff import ParamScalar, LAM, G, I
 from .weyl import WeylOperator, GaussianState, Poly3
 from .operators import catalogue, op, IdentityRecord
 from .fock import CreationPolynomial, wick_inner, gaussian_moment_inner
@@ -16,7 +16,7 @@ from .biortho import normalization, gram, orthogonalize
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational", "ParamScalar", "LAM", "G", "I",
+    "ParamScalar", "LAM", "G", "I",
     "WeylOperator", "GaussianState", "Poly3",
     "catalogue", "op", "IdentityRecord",
     "CreationPolynomial", "wick_inner", "gaussian_moment_inner",

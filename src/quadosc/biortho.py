@@ -110,10 +110,7 @@ class PhiTransform:
 
     def apply_rows(self):
         """Full coefficient rows including the unit diagonal."""
-        out = []
-        for m, row in enumerate(self.rows):
-            out.append(tuple(row) + (ONE,))
-        return out
+        return [tuple(row) + (ONE,) for row in self.rows]
 
 
 def _phi_gram_is_antidiagonal(block: GramBlock, rows) -> bool:
@@ -237,7 +234,7 @@ def verify_q_identities(k_max: int = 3, n_max: int = 3) -> list:
     out = []
     Qp, Qm = cat["Q+"], cat["Q-"]
     lam, g = LAM, G
-    from .weyl import identity_op, ground_state
+    from .weyl import identity_op
     one = identity_op()
     for k in range(1, k_max + 1):
         rhs = (Qp ** (k - 1) * (cat["H"].scale(lam) - cat["V"].scale(g)
@@ -257,7 +254,6 @@ def verify_q_identities(k_max: int = 3, n_max: int = 3) -> list:
         out.append(record(f"biortho/qb-bracket-n{n}",
                           "bracket with a power of the second raising letter",
                           Qm.commutator(Bp ** n), rhs))
-    psi0 = ground_state()
     for k in range(1, k_max + 1):
         qk = _fock.to_gaussian_state(_fock.expand_q_power(k))
         qk1 = _fock.expand_q_power(k - 1)

@@ -25,6 +25,14 @@ from .report import VerificationReport, merge_reports
 SUITES = ("ladder", "algebra", "gl3", "boson", "sp6", "integrals",
           "jordan", "uvw", "biortho")
 
+# Bounds that some sub-suites keep whatever --max-k and --max-n ask for.
+# Changing one changes the records, so it moves the report's digest.
+STRUCTURE_CAP = 3        # q identities, orthogonalization, auxiliary relations, uvw
+CROSS_BLOCK_CAP = 2      # cross-block pairs, in k and in n
+ORACLE_MAX_TOTAL = 4     # combined word degree of the two pairing engines' agreement
+RECURSION_MIN_N = 6      # the coefficient recursions check n up to at least this
+AUXILIARY_MAX_P = 4      # powers of the raising letters in the auxiliary relations
+
 
 def _run_suite(args):
     """Top-level worker so suite fan-out can cross process boundaries."""
@@ -45,23 +53,27 @@ def _run_suite(args):
         out.append(("integrals", _ops.verify_integrals_cubic_algebra()))
     elif name == "jordan":
         out.append(("jordan", _jordan.verify_jordan_layer(max_k, max_n)))
-        out.append(("jordan", _jordan.verify_coefficient_recursions(max(6, max_n))))
-        out.append(("jordan", _jordan.verify_auxiliary_relations(min(max_n, 3), 4)))
+        out.append(("jordan", _jordan.verify_coefficient_recursions(
+            max(RECURSION_MIN_N, max_n))))
+        out.append(("jordan", _jordan.verify_auxiliary_relations(
+            min(max_n, STRUCTURE_CAP), AUXILIARY_MAX_P)))
         out.append(("jordan", _jordan.verify_ladder_actions(max_k, max_n)))
         out.append(("jordan", _jordan.verify_special_actions(max_k, max_n)))
     elif name == "uvw":
-        out.append(("uvw", _jordan.verify_uvw_layer(min(max_n, 3))))
+        out.append(("uvw", _jordan.verify_uvw_layer(min(max_n, STRUCTURE_CAP))))
     elif name == "biortho":
         out.append(("biortho", _biortho.verify_normalization(max_k, max_n)))
         out.append(("biortho", _biortho.verify_T_vanishing(max_k, max_n)))
-        out.append(("biortho", _biortho.verify_q_identities(min(max_k, 3), min(max_n, 3))))
+        out.append(("biortho", _biortho.verify_q_identities(
+            min(max_k, STRUCTURE_CAP), min(max_n, STRUCTURE_CAP))))
         out.append(("biortho", _biortho.verify_gram_blocks(max_k, max_n)))
-        out.append(("biortho", _biortho.verify_orthogonalization(min(max_k, 3), min(max_n, 3))))
+        out.append(("biortho", _biortho.verify_orthogonalization(
+            min(max_k, STRUCTURE_CAP), min(max_n, STRUCTURE_CAP))))
         out.append(("biortho", _biortho.verify_reference_phi_blocks()))
         out.append(("biortho", _biortho.verify_adjoint_rules()))
         out.append(("biortho", _biortho.verify_cross_block_orthogonality(
-            min(max_k, 2), min(max_n, 2))))
-        out.append(("biortho", _biortho.verify_oracle_agreement(4)))
+            min(max_k, CROSS_BLOCK_CAP), min(max_n, CROSS_BLOCK_CAP))))
+        out.append(("biortho", _biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)))
     else:
         raise ValueError(f"unknown suite {name!r}")
     return out

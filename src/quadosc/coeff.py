@@ -18,9 +18,10 @@ order with lam > g is a positive integer, and the integers of both maps have
 no common divisor.  So every value has one representation, and zero is
 ``{}`` over ``{(0, 0): (1, 0)}``.  A monomial denominator, the only kind the
 suites build, leaves ``_den`` the constant ``{(0, 0): (d, 0)}``, so
-``len(_den) == 1`` exactly when the denominator is a monomial.  Values are
-immutable and hashable, and a constant hashes like its ``GaussianRational``
-(a real one like its ``Fraction``).
+``len(_den) == 1`` exactly when the denominator is a monomial.  A constant
+value is a Gaussian rational; there is no separate type for one.  Values
+are immutable and hashable, and a real constant hashes like its
+``Fraction``.
 
 Arithmetic.  ``+``, ``-``, ``*``, powers, conjugation and division by a unit
 times a monomial stay in this Laurent ring: integer products and sums, then
@@ -42,92 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["GaussianRational", "ParamScalar", "LAM", "G", "I", "ZERO", "ONE"]
-
-
-class GaussianRational:
-    """A complex number a + b*I with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        for part in (re, im):
-            if not isinstance(part, (int, Fraction)):
-                raise TypeError(f"GaussianRational parts must be int or Fraction, not {part!r}")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_as_gauss(other))
-
-    def __rsub__(self, other):
-        return _as_gauss(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        return _as_gauss(other) / self
-
-    def __eq__(self, other):
-        try:
-            other = _as_gauss(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return _gauss_hash(self.re, self.im)
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return _render_gauss(self, wrap=False)
-
-
-def _as_gauss(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot interpret {x!r} as GaussianRational")
-
-
-def _gauss_hash(re: Fraction, im: Fraction) -> int:
-    """A real value hashes like its Fraction, so like an equal int."""
-    return hash((re, im)) if im else hash(re)
+__all__ = ["ParamScalar", "LAM", "G", "I", "ZERO", "ONE"]
 
 
 def power(base, n: int, mul):
@@ -148,9 +64,10 @@ def _render_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _render_gauss(c: GaussianRational, wrap: bool = True) -> str:
-    """Render a Gaussian rational; `wrap` parenthesizes anything non-atomic."""
-    re, im = c.re, c.im
+def _render_gauss(c, wrap: bool = True) -> str:
+    """Render a Gaussian rational, the pair (re, im) of Fractions; `wrap`
+    parenthesizes anything non-atomic."""
+    re, im = c
     if im == 0:
         s = _render_fraction(re)
         return f"({s})" if wrap and re.denominator != 1 else s
@@ -241,12 +158,12 @@ class ParamScalar:
     def __init__(self, value=0):
         if isinstance(value, ParamScalar):
             num, den = value._num, value._den
-        else:
-            c = _as_gauss(value)
-            d = lcm(c.re.denominator, c.im.denominator)
-            num = {_UNIT: (c.re.numerator * (d // c.re.denominator),
-                           c.im.numerator * (d // c.im.denominator))} if c else {}
+        elif isinstance(value, (int, Fraction)):
+            n, d = value.numerator, value.denominator
+            num = {_UNIT: (n, 0)} if n else {}
             den = _ONE_DEN if d == 1 else {_UNIT: (d, 0)}
+        else:
+            raise TypeError(f"cannot interpret {value!r} as ParamScalar")
         _SET_NUM(self, num)
         _SET_DEN(self, den)
 
@@ -289,9 +206,9 @@ class ParamScalar:
         qq = dom.dom
 
         def poly(terms):
-            return ring.from_dict({m: dom.new(qq(c.re.numerator, c.re.denominator),
-                                              qq(c.im.numerator, c.im.denominator))
-                                   for m, c in terms})
+            return ring.from_dict({m: dom.new(qq(re.numerator, re.denominator),
+                                              qq(im.numerator, im.denominator))
+                                   for m, (re, im) in terms})
 
         num, den = self._parts()
         return field.raw_new(poly(num), poly(den))
@@ -423,13 +340,11 @@ class ParamScalar:
             return self._hash
         except AttributeError:   # first call: the slot starts unset
             pass
-        num, den = self._num, self._den
-        if len(den) == 1 and num.keys() <= {_UNIT}:
-            d = den[_UNIT][0]
-            re, im = num.get(_UNIT, (0, 0))
-            h = _gauss_hash(Fraction(re, d), Fraction(im, d))
+        c = self._constant_part()
+        if c is not None:
+            h = hash(c) if c[1] else hash(c[0])   # a real one like its Fraction
         else:
-            h = hash((frozenset(num.items()), frozenset(den.items())))
+            h = hash((frozenset(self._num.items()), frozenset(self._den.items())))
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -441,6 +356,15 @@ class ParamScalar:
 
     def is_one(self) -> bool:
         return self._num == ONE._num and self._den == _ONE_DEN
+
+    def _constant_part(self):
+        """(re, im) as Fractions when this value is a constant, else None."""
+        num, den = self._num, self._den
+        if len(den) != 1 or not num.keys() <= {_UNIT}:
+            return None
+        d = den[_UNIT][0]
+        re, im = num.get(_UNIT, (0, 0))
+        return Fraction(re, d), Fraction(im, d)
 
     # -- structure ----------------------------------------------------------
 
@@ -455,33 +379,33 @@ class ParamScalar:
 
     def _parts(self):
         """The classical canonical pair: numerator and monic denominator with
-        nonnegative exponents, each a list of ((e_lam, e_g), GaussianRational)
-        in descending grlex order."""
+        nonnegative exponents, each a list of ((e_lam, e_g), (re, im)) with
+        Fraction parts, in descending grlex order."""
         num, den = self._num, self._den
         lc = den[max(den, key=_grlex)][0]
         s_lam = max(0, -min((a for a, _ in num), default=0))
         s_g = max(0, -min((b for _, b in num), default=0))
 
         def shifted(terms):
-            out = [((a + s_lam, b + s_g), GaussianRational(Fraction(x, lc), Fraction(y, lc)))
+            out = [((a + s_lam, b + s_g), (Fraction(x, lc), Fraction(y, lc)))
                    for (a, b), (x, y) in terms.items()]
             out.sort(key=lambda t: _grlex(t[0]), reverse=True)
             return out
 
         return shifted(num), shifted(den)
 
-    def evaluate(self, lam0, g0) -> GaussianRational:
-        """Exact substitution lam -> lam0, g -> g0 (rationals or Gaussian rationals)."""
-        lam_v, g_v = _as_gauss(lam0), _as_gauss(g0)
+    def evaluate(self, lam0, g0) -> "ParamScalar":
+        """Exact substitution lam -> lam0, g -> g0, each an int, a Fraction or
+        a constant ParamScalar such as ``1 + I/2``; the value is a constant."""
+        point = _as_scalar(lam0), _as_scalar(g0)
+        if any(v is None or v._constant_part() is None for v in point):
+            raise TypeError(f"cannot evaluate at the non-constant point ({lam0!r}, {g0!r})")
+        lam_v, g_v = point
 
         def value(terms):
-            total = GaussianRational()
-            for (a, b), c in terms:
-                if a:
-                    c = c * power(lam_v, a, operator.mul)
-                if b:
-                    c = c * power(g_v, b, operator.mul)
-                total = total + c
+            total = ZERO
+            for (a, b), (re, im) in terms:
+                total = total + (re + I * im) * lam_v ** a * g_v ** b
             return total
 
         num, den = self._parts()
@@ -540,10 +464,10 @@ def _render_poly(terms) -> str:
         mono = _monom_str(m)
         if not mono:
             piece = _render_gauss(gc, wrap=False)
-            piece = f"({piece})" if (gc.im != 0 and gc.re != 0) else piece
-        elif gc == 1:
+            piece = f"({piece})" if all(gc) else piece
+        elif gc == (1, 0):
             piece = mono
-        elif gc == -1:
+        elif gc == (-1, 0):
             piece = f"-{mono}"
         else:
             piece = f"{_render_gauss(gc)}*{mono}"
@@ -582,13 +506,13 @@ def _is_atomic_factor(s: str) -> bool:
 def _as_scalar(x):
     if isinstance(x, ParamScalar):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, (int, Fraction)):
         return ParamScalar(x)
     return None
 
 
 def scalar(value) -> ParamScalar:
-    """Convenience constructor accepting int, Fraction, or GaussianRational."""
+    """Convenience constructor accepting int or Fraction."""
     return ParamScalar(value)
 
 

@@ -101,13 +101,25 @@ def _tokenize(text: str):
 
 # -- Parser -----------------------------------------------------------------
 
+# the names the parser knows: the generators of the two spaces, the scalar
+# names and the catalogue's unsigned names
+_GENERATORS = {
+    "z": (SPACE_ZZB, variable, 0), "zb": (SPACE_ZZB, variable, 1),
+    "x3": (SPACE_ZZB, variable, 2),
+    "dz": (SPACE_ZZB, derivative, 0), "dzb": (SPACE_ZZB, derivative, 1),
+    "d3": (SPACE_ZZB, derivative, 2),
+    "u": (SPACE_UVW, variable, 0), "v": (SPACE_UVW, variable, 1),
+    "w": (SPACE_UVW, variable, 2),
+    "du": (SPACE_UVW, derivative, 0), "dv": (SPACE_UVW, derivative, 1),
+    "dw": (SPACE_UVW, derivative, 2),
+}
+_SCALARS = {"lam": LAM, "g": G, "I": I}
 _PLAIN_NAMES = (
     {"H", "R", "S", "T", "U", "V", "W", "X", "Y", "Z", "Rt1"}
     | {f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)}
     | {f"R{i}" for i in range(4)}
-    | {"z", "zb", "x3", "dz", "dzb", "d3", "u", "v", "w", "du", "dv", "dw"}
+    | _GENERATORS.keys()
 )
-_SCALAR_NAMES = {"lam", "g", "I"}
 
 
 class _Parser:
@@ -183,7 +195,7 @@ class _Parser:
                 p = self.take("uint")[1]
                 self.take(")")
                 return _name_node("Dp", arg=p)
-            if val in _PLAIN_NAMES or val in _SCALAR_NAMES:
+            if val in _PLAIN_NAMES or val in _SCALARS:
                 return _name_node(val)
             raise ExprError(f"unknown name {val!r}", pos)
         if kind == "(":
@@ -264,19 +276,6 @@ def _render(node: Node, level: int) -> str:
 
 
 # -- Evaluator --------------------------------------------------------------
-
-_GENERATORS = {
-    "z": (SPACE_ZZB, variable, 0), "zb": (SPACE_ZZB, variable, 1),
-    "x3": (SPACE_ZZB, variable, 2),
-    "dz": (SPACE_ZZB, derivative, 0), "dzb": (SPACE_ZZB, derivative, 1),
-    "d3": (SPACE_ZZB, derivative, 2),
-    "u": (SPACE_UVW, variable, 0), "v": (SPACE_UVW, variable, 1),
-    "w": (SPACE_UVW, variable, 2),
-    "du": (SPACE_UVW, derivative, 0), "dv": (SPACE_UVW, derivative, 1),
-    "dw": (SPACE_UVW, derivative, 2),
-}
-_SCALARS = {"lam": LAM, "g": G, "I": I}
-
 
 def _as_op(value, space=SPACE_ZZB) -> WeylOperator:
     """An operator as it is; a scalar as a multiple of the identity of ``space``."""

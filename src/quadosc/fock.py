@@ -288,7 +288,7 @@ def uvw_to_creation(p: Poly3) -> CreationPolynomial:
     out = {}
     while not residue.is_zero():
         mono, coeff = max(residue.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-        i, j, l = mono
+        i, _, l = mono
         c = coeff / (minus_2lam ** i * two ** l)
         cur = out.get(mono)
         out[mono] = c if cur is None else cur + c

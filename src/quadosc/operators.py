@@ -370,7 +370,7 @@ def boson() -> dict:
     c = catalogue()
     inv_2lam = ONE / _TWO_LAM   # 1/s = s/(2 lam), so (1/s) X = s * X/(2 lam)
     out = {}
-    for sgn, tag in ((+1, "+"), (-1, "-")):
+    for tag in ("+", "-"):
         A, B, C = c[f"A{tag}"], c[f"B{tag}"], c[f"C{tag}"]
         cb = C + B.scale(LAM / G)
         cba = cb + A.scale(G / LAM)

@@ -51,6 +51,20 @@ def test_commutator_verb(capsys):
     assert out.strip() == "lam^99999996*g^5"
 
 
+def test_commutator_renders_gaussian_and_field_coefficients(capsys):
+    # a Gaussian rational coefficient, rendered from its (re, im) parts
+    code, out, _ = run(capsys, "commutator", "(3/2 - I/5)*lam^2*g + I*z")
+    assert code == 0
+    assert out == "I*z + (3/2 - 1/5*I)*lam^2*g\n"
+    # a denominator that is not a monomial, which goes through sympy's field
+    code, out, _ = run(capsys, "commutator", "(lam^2-g^2)/(lam-g)*H - [A-, B+]/(I*lam+g)")
+    assert code == 0
+    assert out == (
+        "(lam^3 + lam^2*g)*z*zb + (lam*g^2 + g^3)*zb^2 + (-4*lam^2*g - 4*lam*g^2)*zb*x3"
+        " + (lam^3 + lam^2*g)*x3^2 + (-4*lam - 4*g)*dz*dzb + (-lam - g)*d3^2"
+        " + (-3*lam^3 + (-3 + 3*I)*lam^2*g + 3*I*lam*g^2 + (-2*I)*lam)/(lam - I*g)\n")
+
+
 def test_suites_never_import_sympy():
     # sympy is loaded in this process already, so a fresh interpreter runs
     # the calls; only a denominator that is not a monomial may import it

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.rings import PolyElement
 
-from quadosc.coeff import GaussianRational, ParamScalar, LAM, G, I, ONE, ZERO, scalar
+from quadosc.coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from quadosc.weyl import variable
 
 
@@ -38,7 +38,7 @@ def test_reduction_matches_long_division():
     assert remainder == [Fraction(0)]
     sym = (LAM ** 2 - G ** 2) / (LAM - G)
     assert sym == LAM + G
-    assert sym.evaluate(7, 1) == GaussianRational(7 + 1)
+    assert sym.evaluate(7, 1) == ParamScalar(7 + 1)
     assert quotient == [Fraction(1), Fraction(1)]
 
 
@@ -60,10 +60,26 @@ def test_conjugate_examples(value, expected):
 
 
 def test_evaluate_examples():
-    assert (LAM ** 2 * G).evaluate(2, 1) == GaussianRational(4)
-    assert (1 / (2 * LAM)).evaluate(Fraction(1, 2), Fraction(1, 4)) == GaussianRational(1)
+    assert (LAM ** 2 * G).evaluate(2, 1) == ParamScalar(4)
+    assert (1 / (2 * LAM)).evaluate(Fraction(1, 2), Fraction(1, 4)) == ParamScalar(1)
     with pytest.raises(ZeroDivisionError):
         (1 / (LAM - G)).evaluate(1, 1)
+
+
+def test_evaluate_at_gaussian_points():
+    # (1 + I/2)^2 * (1/3) = 1/4 + I/3, a constant
+    got = (LAM ** 2 * G).evaluate(1 + I / 2, Fraction(1, 3))
+    assert got == scalar(Fraction(1, 4)) + I / 3
+    assert got.render() == "(1/4 + 1/3*I)"
+    assert (LAM / (LAM - I * G)).evaluate(1, I) == ParamScalar(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        (1 / (LAM - I * G)).evaluate(I, 1)
+    # a point must be a constant: no parameter, no float, no string
+    for bad in (LAM, G / 2, 1 / (LAM + G), 1.5, "1"):
+        with pytest.raises(TypeError):
+            (LAM + G).evaluate(bad, 1)
+        with pytest.raises(TypeError):
+            (LAM + G).evaluate(1, bad)
 
 
 def test_division_by_zero():
@@ -74,9 +90,21 @@ def test_division_by_zero():
 
 
 def gauss_rationals():
+    """Gaussian rationals as (re, im) pairs of Fractions."""
     small = st.integers(min_value=-4, max_value=4)
-    return st.builds(lambda a, b, c: GaussianRational(Fraction(a, 3), Fraction(b, max(c, 1))),
+    return st.builds(lambda a, b, c: (Fraction(a, 3), Fraction(b, max(c, 1))),
                      small, small, st.integers(min_value=1, max_value=3))
+
+
+def gauss_pair(c):
+    """(re, im) of an int, a Fraction or a pair."""
+    return c if isinstance(c, tuple) else (Fraction(c), Fraction(0))
+
+
+def gauss(c):
+    """The constant re + im*I of an int, a Fraction or a pair."""
+    re, im = gauss_pair(c)
+    return ParamScalar(re) + I * im
 
 
 def param_scalars(allow_zero=True):
@@ -89,7 +117,7 @@ def param_scalars(allow_zero=True):
     def build(terms, dens):
         num = ZERO
         for (i, j), c in terms:
-            num = num + scalar(c) * LAM ** i * G ** j
+            num = num + gauss(c) * LAM ** i * G ** j
         den = ONE
         for (i, j), c in dens:
             den = den + (scalar(c) * LAM ** i * G ** j) ** 2
@@ -143,7 +171,7 @@ def laurent_scalars():
     def build(terms, den):
         num = ZERO
         for (i, j), c in terms:
-            num = num + scalar(c) * LAM ** i * G ** j
+            num = num + gauss(c) * LAM ** i * G ** j
         return num / (LAM ** den[0] * G ** den[1])
 
     return st.builds(build, st.lists(st.tuples(exps, gauss_rationals()), max_size=3), exps)
@@ -168,16 +196,16 @@ def test_monomial_denominator_fast_path_matches_field(a, b, c):
     # differential test: each result must be the very canonical pair that
     # sympy's fraction field gives, not merely an equal value
     fa, fb = a._frac(), b._frac()
-    gc = c if isinstance(c, GaussianRational) else GaussianRational(c)
-    field_c = fa.field.ground_new(QQ_I.new(QQ(gc.re.numerator, gc.re.denominator),
-                                           QQ(gc.im.numerator, gc.im.denominator)))
+    re, im = gauss_pair(c)
+    field_c = fa.field.ground_new(QQ_I.new(QQ(re.numerator, re.denominator),
+                                           QQ(im.numerator, im.denominator)))
     # a unit times a monomial, with exponents of b's (negative ones too)
     e_lam, e_g = next(iter(b._num), (1, 1))
-    u = (ParamScalar(c) or ONE) * LAM ** e_lam * G ** e_g
+    u = (gauss(c) or ONE) * LAM ** e_lam * G ** e_g
     fu = u._frac()
     cases = [(a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa), (1 - a, 1 - fa),
              (a * b, fa * fb), (-a, -fa),
-             (ParamScalar(c), field_c), (a.conjugate(), _field_conjugate(fa)),
+             (gauss(c), field_c), (a.conjugate(), _field_conjugate(fa)),
              (a / u, fa / fu), (u ** -2, fu ** -2)]
     cases += [(a ** n, fa ** n if n else fa.field.one) for n in range(4)]   # sympy: 0**0 raises
     for got, frac in cases:
@@ -187,17 +215,20 @@ def test_monomial_denominator_fast_path_matches_field(a, b, c):
         assert got.render() == want.render()
     # evaluation against the field's own, poles included
     ring = fa.field.ring
-    for p, q in ((Fraction(1, 2), Fraction(-1, 3)), (2, 1), (0, 1), (1, 0)):
-        point = [(ring.gens[0], QQ(p)), (ring.gens[1], QQ(q))]
+    for p, q in ((Fraction(1, 2), Fraction(-1, 3)), (2, 1), (0, 1), (1, 0),
+                 ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(-2, 3)))):
+        point = [(gen, QQ_I.new(*(QQ(x.numerator, x.denominator) for x in gauss_pair(v))))
+                 for gen, v in zip(ring.gens, (p, q))]
+        lam0, g0 = (gauss(v) if isinstance(v, tuple) else v for v in (p, q))
         den = fa.denom.evaluate(point)
         if not den:
             with pytest.raises(ZeroDivisionError):
-                a.evaluate(p, q)
+                a.evaluate(lam0, g0)
             continue
         v = fa.numer.evaluate(point) / den
-        assert a.evaluate(p, q) == GaussianRational(
-            Fraction(int(v.x.numerator), int(v.x.denominator)),
-            Fraction(int(v.y.numerator), int(v.y.denominator)))
+        assert a.evaluate(lam0, g0) == gauss(
+            (Fraction(int(v.x.numerator), int(v.x.denominator)),
+             Fraction(int(v.y.numerator), int(v.y.denominator))))
 
 
 def test_constants_and_conjugates_run_no_gcd(monkeypatch):
@@ -216,18 +247,24 @@ def test_constants_and_conjugates_run_no_gcd(monkeypatch):
     assert (ONE / (2 * LAM)).render() == "(1/2)/lam"
     assert (LAM / G).render() == "lam/g"
     assert ((LAM * G) ** -2).render() == "1/(lam^2*g^2)"
-    # exactness guard: no floats, no strings
+    # exactness guard: no floats, no strings, as a value or as a point
     for bad in (1.5, "1"):
         with pytest.raises(TypeError):
             ParamScalar(bad)
         with pytest.raises(TypeError):
-            GaussianRational(bad)
+            LAM.evaluate(bad, 1)
 
 
 def test_equal_values_hash_equal():
-    assert len({3, Fraction(3), GaussianRational(3), ParamScalar(3)}) == 1
+    assert len({3, Fraction(3), ParamScalar(3)}) == 1
     assert hash(ParamScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
-    assert hash(ParamScalar(GaussianRational(1, 2))) == hash(GaussianRational(1, 2))
+    # a complex constant built two ways is one value with one hash
+    for x, y in ((I / 2, ParamScalar(Fraction(1, 2)) * I),
+                 (1 + 2 * I, (ParamScalar(4) - I * 2) * (I / 2)),
+                 (scalar(Fraction(1, 2)) + I / 3, (3 + 2 * I) / 6)):
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
 
 
 def test_render_examples():
