@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import operators as _ops
 from . import jordan as _jordan
@@ -85,6 +85,8 @@ def _cmd_verify(args) -> int:
     tasks = [(name, args.max_k, args.max_n) for name in names]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        # imported here, so that a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_suite, tasks))
     else:
@@ -247,7 +249,13 @@ def _at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    Sharing is safe because ``parse_args`` returns a fresh namespace and no
+    action keeps state between parses; callers must not modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="quadosc",
         description="Exact symbolic verification engine for the"

@@ -1,5 +1,7 @@
 """Command-line interface: verbs, exit codes, report determinism."""
 
+import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -65,12 +67,22 @@ def test_commutator_renders_gaussian_and_field_coefficients(capsys):
         " + (-3*lam^3 + (-3 + 3*I)*lam^2*g + 3*I*lam*g^2 + (-2*I)*lam)/(lam - I*g)\n")
 
 
+def _fresh_env():
+    """The environment for a fresh interpreter that imports this quadosc."""
+    src = os.path.dirname(os.path.dirname(quadosc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_suites_never_import_sympy():
     # sympy is loaded in this process already, so a fresh interpreter runs
-    # the calls; only a denominator that is not a monomial may import it
+    # the calls; only a denominator that is not a monomial may import it.
+    # The same calls start no process pool, so they load no multiprocessing,
+    # and importing the CLI builds no parser.
     script = textwrap.dedent("""
         import contextlib, io, sys
-        from quadosc.cli import main
+        from quadosc.cli import build_parser, main
+        assert build_parser.cache_info().currsize == 0, "parser built at import"
         with contextlib.redirect_stdout(io.StringIO()):
             main(["verify", "--suite", "sp6"])
             main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"])
@@ -80,18 +92,25 @@ def test_suites_never_import_sympy():
             main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"])
             main(["inner", "A+*B+", "C+^2"])
         assert "sympy" not in sys.modules, "sympy imported"
+        for name in ("concurrent.futures", "multiprocessing"):
+            assert name not in sys.modules, name + " imported"
         main(["commutator", "H/(lam-g)"])
         assert "sympy" in sys.modules, "sympy not imported"
     """)
-    src = os.path.dirname(os.path.dirname(quadosc.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (
         "lam^2/(lam - g)*z*zb + g^2/(lam - g)*zb^2 + (-4*lam*g)/(lam - g)*zb*x3"
         " + lam^2/(lam - g)*x3^2 + (-4)/(lam - g)*dz*dzb + (-1)/(lam - g)*d3^2"
         " + (-3*lam)/(lam - g)")
+
+
+def test_python_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "quadosc", "commutator", "[H,Q+] - 4*lam*Q+"],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_commutator_syntax_error(capsys):
@@ -250,7 +269,7 @@ def test_jobs_clamped_to_suite_count(monkeypatch, capsys):
     def fake(args):
         return [(args[0], [IdentityRecord(f"{args[0]}/one", "synthetic", "verified", "0")])]
 
-    monkeypatch.setattr(climod, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(climod, "_run_suite", fake)
     code, out, _ = run(capsys, "verify", "--suite", "all", "--jobs", "64")
     assert code == 0
@@ -261,6 +280,65 @@ def test_jobs_clamped_to_suite_count(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ladder", "--jobs", "64")
     assert code == 0 and "total: 1" in out
     assert started == [len(climod.SUITES), 2]      # one suite: no pool at all
+
+
+def test_real_pool_writes_the_same_report(tmp_path, capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run(capsys, "verify", "--suite", "all", "--max-k", "1", "--max-n", "1",
+                         "--json", str(path), "--jobs", jobs)
+        reports.append((code, path.read_bytes()))
+    assert reports[0] == reports[1]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    label = ("state", "--k", "0", "--n", "1", "--m", "0")
+    code, out, _ = run(capsys, *label, "--json")
+    assert code == 0 and json.loads(out)["creation"]
+    code, out, _ = run(capsys, *label)
+    assert code == 0 and out == "4*g^2*A+\n"
+
+    code, _, err = run(capsys, "verify", "--max-k", "-1")
+    assert code == 2 and "must be at least" in err
+    code, out, _ = run(capsys, "verify", "--suite", "ladder")
+    assert code == 0 and "failed: 0" in out
+
+    code, _, _ = run(capsys, "commutator", "[H,")
+    assert code == 2
+    code, out, _ = run(capsys, "commutator", "[H,Q+] - 4*lam*Q+")
+    assert code == 0 and out == "0\n"
+
+    inputs = {}
+    for suite in ("ladder", "gl3", "integrals"):
+        inputs[suite] = tmp_path / f"{suite}.json"
+        run(capsys, "verify", "--suite", suite, "--json", str(inputs[suite]))
+    for name, suites in (("first", ("ladder", "gl3")), ("second", ("integrals",))):
+        out_path = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "report", "--merge", "--out", str(out_path),
+                         *(str(inputs[suite]) for suite in suites))
+        assert code == 0
+        merged = json.loads(out_path.read_text())
+        assert {rec["suite"] for rec in merged["records"]} == set(suites)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from quadosc import cli as climod
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    climod.build_parser.cache_clear()
+    run(capsys, "commutator", "H")
+    assert built                        # the first call builds the parser lazily
+    first = len(built)
+    for _ in range(19):
+        run(capsys, "commutator", "H")
+    assert len(built) == first          # calls 2 to 20 construct none
 
 
 def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
