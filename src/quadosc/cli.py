@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import sys
 
 from . import operators as _ops
@@ -19,8 +20,10 @@ from . import jordan as _jordan
 from . import biortho as _biortho
 from . import fock as _fock
 from . import expr as _expr
+from .coeff import ParamScalar
 from .jordan import JordanLabel
 from .report import VerificationReport, merge_reports
+from .weyl import SPACE_ZZB, WeylOperator, ground_state
 
 SUITES = ("ladder", "algebra", "gl3", "boson", "sp6", "integrals",
           "jordan", "uvw", "biortho")
@@ -193,10 +196,57 @@ def _cmd_commutator(args) -> int:
     return 0
 
 
+class _OutsideModelSpace(Exception):
+    """A factor of an `inner` side is an operator of another space."""
+
+
+def _action(node):
+    """How ``node`` acts on a state, its leaves evaluated left to right as
+    the evaluator takes them: a ParamScalar, a zzb WeylOperator, a list (a
+    product, whose factors act right to left) or a pair (base, e) (a power,
+    whose base acts e times).  Products and powers of scalars are their
+    value."""
+    if node.kind == "product":
+        parts = [_action(child) for child in node.children]
+        if all(isinstance(part, ParamScalar) for part in parts):
+            return functools.reduce(operator.mul, parts)
+        return parts
+    if node.kind == "power":
+        base, e = _action(node.children[0]), int(node.value)
+        return base ** e if isinstance(base, ParamScalar) else (base, e)
+    value = _expr._evaluate(node)
+    if isinstance(value, WeylOperator) and value.space != SPACE_ZZB:
+        raise _OutsideModelSpace
+    return value
+
+
+def _act(action, state):
+    if isinstance(action, ParamScalar):
+        return state.scale(action)
+    if isinstance(action, WeylOperator):
+        return action.apply(state)
+    if isinstance(action, tuple):
+        base, e = action
+        for _ in range(e):
+            state = _act(base, state)
+        return state
+    for part in reversed(action):
+        state = _act(part, state)
+    return state
+
+
 def _state_from_expr(text):
-    op = _expr.evaluate(text)
-    from .weyl import ground_state
-    return op.apply(ground_state())
+    """The state an expression makes of the ground state.  Its factors act
+    one at a time, so each catalogue letter acts through its cached
+    conjugation and no product operator is built.  An expression with a
+    factor of another space is evaluated whole, so the evaluator and
+    ``apply`` raise their own errors."""
+    node = _expr.parse(text)
+    try:
+        action = _action(node)
+    except _OutsideModelSpace:
+        return _expr.evaluate(node).apply(ground_state())
+    return _act(action, ground_state())
 
 
 def _cmd_inner(args) -> int:

@@ -274,26 +274,11 @@ def creation_to_uvw(p: CreationPolynomial) -> Poly3:
 
 
 def uvw_to_creation(p: Poly3) -> CreationPolynomial:
-    """Inverse of :func:`creation_to_uvw` by triangular elimination.
-
-    The leading graded-lex term of a word's wavefunction is
-    (-2*lam)^i * 2^l * u^i v^j w^l, and all corrections have lower total
-    degree, so peeling leading terms terminates.
-    """
+    """Inverse of :func:`creation_to_uvw`: the zzb elimination of
+    :func:`gaussian_state_to_creation`, applied to p's zzb form."""
     if p.space != SPACE_UVW:
         raise ValueError("expected a uvw polynomial")
-    minus_2lam = scalar(-2) * LAM
-    two = scalar(2)
-    residue = p
-    out = {}
-    while not residue.is_zero():
-        mono, coeff = max(residue.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-        i, _, l = mono
-        c = coeff / (minus_2lam ** i * two ** l)
-        cur = out.get(mono)
-        out[mono] = c if cur is None else cur + c
-        residue = residue - _word_uvw_poly(mono).scale(c)
-    return CreationPolynomial(out)
+    return gaussian_state_to_creation(GaussianState(uvw_poly_to_zzb(p)))
 
 
 def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
@@ -304,12 +289,45 @@ def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
     return GaussianState(Poly3(out, SPACE_ZZB))
 
 
+@lru_cache(maxsize=None)
+def _peeling_order(degree):
+    """The zzb monomials z^a zb^b x3^c of total degree at most ``degree``,
+    highest first in graded-lex order with z before x3 before zb."""
+    monos = [(a, b, d - a - b) for d in range(degree + 1)
+             for a in range(d + 1) for b in range(d - a + 1)]
+    return sorted(monos, key=lambda m: (sum(m), m[0], m[2]), reverse=True)
+
+
+@lru_cache(maxsize=None)
+def _leading_coeff(i, j, l):
+    """The coefficient of z^j zb^i x3^l in the state of the word (i, j, l)."""
+    return (scalar(-2) * LAM) ** (i + l) * (-LAM) ** j
+
+
 def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
-    """Inverse of :func:`to_gaussian_state`; only standard-weight states are
-    creation polynomials applied to Psi0."""
+    """Inverse of :func:`to_gaussian_state` by triangular elimination in zzb;
+    only standard-weight states are creation polynomials applied to Psi0.
+
+    The raising letters' top-degree parts are -2*lam*zb, -lam*z + 2*g*x3 and
+    2*g*zb - 2*lam*x3.  In graded-lex order with z before x3 before zb the
+    word (i, j, l) therefore leads with z^j zb^i x3^l, and every other term
+    of its state is lower.  Each monomial leads exactly one word, so one
+    pass over the monomials, highest first, peels every word off the
+    residue, dividing only by the monomial :func:`_leading_coeff`.
+    """
     if s.weight != WEIGHT_STD:
         raise ValueError("only standard-weight states have a creation polynomial")
-    return uvw_to_creation(zzb_poly_to_uvw(s.poly))
+    residue = dict(s.poly.terms)
+    out = {}
+    for a, b, c in _peeling_order(s.poly.degree()):
+        coeff = residue.get((a, b, c))
+        if coeff is None or coeff.is_zero():
+            continue
+        word = (b, a, c)
+        k = coeff / _leading_coeff(*word)
+        out[word] = k
+        _add_into(residue, _word_state(word).poly.terms, -k)
+    return CreationPolynomial(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ import jsonschema
 import pytest
 
 import quadosc
+from quadosc import expr, fock, weyl
 from quadosc.cli import main
 from quadosc.report import SCHEMA, VerificationReport
 from quadosc.operators import IdentityRecord
@@ -91,6 +94,7 @@ def test_suites_never_import_sympy():
             main(["commutator", "[A+,B-]"])
             main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"])
             main(["inner", "A+*B+", "C+^2"])
+            main(["inner", "(A+*B+)^2 + 3*C+^4", "2*B+^2*A+*I*A+"])
         assert "sympy" not in sys.modules, "sympy imported"
         for name in ("concurrent.futures", "multiprocessing"):
             assert name not in sys.modules, name + " imported"
@@ -125,6 +129,76 @@ def test_inner_verb(capsys):
     assert out.strip() == "-2*g"
     code, out, _ = run(capsys, "inner", "Q+", "Q+")
     assert out.strip() == "24*lam^2"
+
+
+def _inner_by_one_operator(bra, ket):
+    """The exit code, stdout and stderr of `inner` by the route it took
+    before its factors acted one at a time: each side evaluated to one
+    operator and applied to Psi0, its creation polynomial read off the
+    state's (u, v, w) form (tests/test_fock.py checks that conversion
+    against the former (u, v, w) peeling); errors reported as `_cmd_inner`
+    and `main` report them."""
+    try:
+        try:
+            states = [expr.evaluate(text).apply(weyl.ground_state()) for text in (bra, ket)]
+        except expr.ExprError as exc:
+            return 2, "", f"error: {exc}\n"
+        polys = [fock.uvw_to_creation(fock.zzb_poly_to_uvw(s.poly)) for s in states]
+        return 0, fock.wick_inner(*polys).render() + "\n", ""
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+def _letter_products():
+    """Every inner item of the benchmark's session stream: two multisets of
+    raising letters of one degree (1 to 3), spelt in a seeded order."""
+    rng = random.Random(0)
+    for degree in (1, 2, 3):
+        words = [(i, j, degree - i - j) for i in range(degree + 1)
+                 for j in range(degree + 1 - i)]
+        for pair in itertools.product(words, repeat=2):
+            sides = []
+            for word in pair:
+                letters = [x for x, e in zip(("A+", "B+", "C+"), word) for _ in range(e)]
+                rng.shuffle(letters)
+                sides.append("*".join(letters))
+            yield tuple(sides)
+
+
+_INNER_EDGES = [
+    ("lam", "1"), ("C+", "lam*g"), ("2*A+ + g", "B+"), ("B+", "2*A+ + g"),
+    ("C+^2", "C+^2"), ("(A+*B+)^2", "C+^4"), ("3*A+*I", "B+"),
+    ("lam^3*(2*C+)^2*A+", "B+*C+^2"), ("(1/(lam - g))*B+", "A+"), ("A+*(-B+)", "Q+"),
+    ("A+^0", "1"), ("0*A+", "B+"), ("H*A+", "B+"), ("Q-*Q+", "1"), ("E12*B+", "A+"),
+    ("[A+,Q+]", "1"), ("A+*[A-,B+]", "B+"), ("Dp(1)", "1"), ("A+", "Dp(1)*B+"),
+    ("u*H", "1"), ("u", "1"), ("A+", "u"), ("A+*u", "B+"), ("A+*[u,v]", "B+"),
+    ("u*(H/0)", "1"), ("(H/0)*u", "1"), ("H / 0", "1"), ("A+*(H/0)", "B+"),
+    ("A+*[u,H]", "B+"), ("[H,", "1"), ("A+", "[H,"), ("u", "[H,"),
+]
+
+
+@pytest.mark.parametrize("bra, ket", list(_letter_products()) + _INNER_EDGES)
+def test_inner_matches_the_one_operator_route_byte_for_byte(capsys, bra, ket):
+    assert run(capsys, "inner", bra, ket) == _inner_by_one_operator(bra, ket)
+
+
+def test_inner_conjugates_each_letter_once_and_multiplies_no_operators(monkeypatch, capsys):
+    # the letters act one at a time, each through its cached conjugation; a
+    # product operator would miss that cache and cost Weyl products
+    want = run(capsys, "inner", "A+*B+*C+", "C+*B+*A+")
+    assert want == _inner_by_one_operator("A+*B+*C+", "C+*B+*A+")
+    weyl._conjugated.cache_clear()
+    products = []
+    mul = weyl.WeylOperator.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(weyl.WeylOperator, "__mul__", counting_mul)
+    assert run(capsys, "inner", "A+*B+*C+", "C+*B+*A+") == want
+    assert weyl._conjugated.cache_info().misses <= 3
+    assert products == []
 
 
 def test_tabulate_n(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadosc.coeff import LAM, G, ONE, ZERO, scalar
+from quadosc.coeff import LAM, G, I, ONE, ZERO, scalar
 from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
                           SPACE_UVW, poly_var)
 from quadosc import fock
@@ -261,6 +261,52 @@ def test_word_uvw_polys_match_the_raising_letters_in_the_uvw_picture():
 def test_round_trips_random(p):
     assert fock.gaussian_state_to_creation(fock.to_gaussian_state(p)) == p
     assert fock.uvw_to_creation(fock.creation_to_uvw(p)) == p
+
+
+def uvw_peeling(p):
+    """The former elimination, in (u, v, w): the graded-lex leading term of a
+    word's (u, v, w) form is (-2*lam)^i * 2^l * u^i v^j w^l, so peel leading
+    terms off the residue until nothing is left."""
+    minus_2lam, two = scalar(-2) * LAM, scalar(2)
+    residue, out = p, {}
+    while not residue.is_zero():
+        mono, coeff = max(residue.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        i, _, l = mono
+        c = coeff / (minus_2lam ** i * two ** l)
+        cur = out.get(mono)
+        out[mono] = c if cur is None else cur + c
+        residue = residue - fock._word_uvw_poly(mono).scale(c)
+    return CreationPolynomial(out)
+
+
+def zzb_polys(max_deg=3):
+    coeffs = st.sampled_from([ONE, -ONE, LAM, G, scalar(2), I])
+    return st.builds(lambda ts: Poly3(dict(ts), SPACE_ZZB),
+                     st.lists(st.tuples(words(max_deg), coeffs), max_size=3))
+
+
+def assert_elimination_matches_uvw_peeling(state):
+    want = uvw_peeling(fock.zzb_poly_to_uvw(state.poly))
+    assert fock.gaussian_state_to_creation(state) == want
+    assert fock.uvw_to_creation(fock.zzb_poly_to_uvw(state.poly)) == want
+    return want
+
+
+@settings(max_examples=30, deadline=None)
+@given(creation_polys())
+def test_zzb_elimination_matches_uvw_peeling_on_creation_polys(p):
+    assert assert_elimination_matches_uvw_peeling(fock.to_gaussian_state(p)) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, "H", "Q+", "A-", "E12"]), zzb_polys())
+def test_zzb_elimination_matches_uvw_peeling_off_the_round_trip(name, poly):
+    # states no creation polynomial was built from: random polynomials, and
+    # operators that lower, keep or raise the degree applied to them
+    state = GaussianState(poly)
+    if name is not None:
+        state = ops.op(name).apply(state)
+    assert_elimination_matches_uvw_peeling(state)
 
 
 def test_swapped_weight_has_no_creation_polynomial():
