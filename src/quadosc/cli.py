@@ -235,30 +235,48 @@ def _act(action, state):
     return state
 
 
-def _state_from_expr(text):
-    """The state an expression makes of the ground state.  Its factors act
-    one at a time, so each catalogue letter acts through its cached
-    conjugation and no product operator is built.  An expression with a
-    factor of another space is evaluated whole, so the evaluator and
-    ``apply`` raise their own errors."""
+def _word(action):
+    """The creation polynomial of ``action`` when it is a product of scalars
+    and raising letters, which commute; else None."""
+    if isinstance(action, ParamScalar):
+        return _fock.CreationPolynomial.word(0, 0, 0, action)
+    if isinstance(action, WeylOperator):
+        for name, word in (("A+", (1, 0, 0)), ("B+", (0, 1, 0)), ("C+", (0, 0, 1))):
+            if action is _ops.op(name):
+                return _fock.CreationPolynomial.word(*word)
+        return None
+    if isinstance(action, tuple):
+        base = _word(action[0])
+        return None if base is None else base ** action[1]
+    parts = [_word(part) for part in action]
+    return None if any(part is None for part in parts) else functools.reduce(operator.mul, parts)
+
+
+def _creation_from_expr(text):
+    """The creation polynomial of the state an expression makes of Psi0.  A
+    product of scalars and raising letters is read off as words.  Other
+    expressions act factor by factor, each letter through its cached
+    conjugation, and the words are peeled off the state; one with a factor of
+    another space is evaluated whole, so that ``evaluate`` raises its errors."""
     node = _expr.parse(text)
     try:
         action = _action(node)
     except _OutsideModelSpace:
-        return _expr.evaluate(node).apply(ground_state())
-    return _act(action, ground_state())
+        return _fock.gaussian_state_to_creation(_expr.evaluate(node).apply(ground_state()))
+    creation = _word(action)
+    if creation is None:
+        creation = _fock.gaussian_state_to_creation(_act(action, ground_state()))
+    return creation
 
 
 def _cmd_inner(args) -> int:
     try:
-        bra = _state_from_expr(args.bra)
-        ket = _state_from_expr(args.ket)
+        bra = _creation_from_expr(args.bra)
+        ket = _creation_from_expr(args.ket)
     except _expr.ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    value = _fock.wick_inner(_fock.gaussian_state_to_creation(bra),
-                             _fock.gaussian_state_to_creation(ket))
-    print(value.render())
+    print(_fock.wick_inner(bra, ket).render())
     return 0
 
 

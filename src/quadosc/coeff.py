@@ -25,12 +25,14 @@ are immutable and hashable, and a real constant hashes like its
 
 Arithmetic.  ``+``, ``-``, ``*``, powers, conjugation and division by a unit
 times a monomial stay in this Laurent ring: integer products and sums, then
-one ``math.gcd`` pass over the coefficients.  Powers square repeatedly.
-None of this imports sympy.  An operation with an operand whose denominator
-is not a monomial, a division by anything but a unit times a monomial, and a
-negative power of such a value take sympy's fraction field over QQ_I, which
-is imported on the first such operation: only these need a polynomial GCD,
-as in ``(lam^2-g^2)/(lam-g)`` or ``H/(lam+g)`` on the command line.
+one ``math.gcd`` pass over the coefficients.  Powers square repeatedly.  The
+Weyl kernel and the span reduction sum integer maps over a common
+denominator and pay that pass once per result (:func:`_add_times`).  None of
+this imports sympy.  An operation with an operand whose denominator is not a
+monomial, a division by anything but a unit times a monomial, and a negative
+power of such a value take sympy's fraction field over QQ_I, which is
+imported on the first such operation: only these need a polynomial GCD, as
+in ``(lam^2-g^2)/(lam-g)`` or ``H/(lam+g)`` on the command line.
 
 ``render``, ``evaluate`` and ``_frac`` read the classical pair: numerator
 and monic denominator with nonnegative exponents, coprime.
@@ -142,6 +144,44 @@ def _laurent(num, d: int) -> "ParamScalar":
     return _new(num, _ONE_DEN if d == 1 else {_UNIT: (d, 0)})
 
 
+def _lcd(values):
+    """The values' least common integer denominator; None for a non-monomial."""
+    d = 1
+    for c in values:
+        den = c._den
+        if len(den) != 1:
+            return None
+        d = lcm(d, den[_UNIT][0])
+    return d
+
+
+def _product_over(a, b, d: int):
+    """(num, s) with a*b = s*num/d, for d a multiple of both denominators."""
+    return _mul_terms(a._num, b._num), d // (a._den[_UNIT][0] * b._den[_UNIT][0])
+
+
+def _add_times(acc, num, k: int):
+    """acc += k*num for Laurent maps, in place; cancelled terms are dropped."""
+    for m, (x, y) in num.items():
+        if k != 1:
+            x, y = x * k, y * k
+        cur = acc.get(m)
+        if cur is not None:
+            x, y = cur[0] + x, cur[1] + y
+            if not (x or y):
+                del acc[m]
+                continue
+        acc[m] = (x, y)
+
+
+def _minus_product(c, a, b):
+    """c - a*b, canonicalized once: the product stays unreduced till then."""
+    da, db = a._den, b._den
+    if len(da) != 1 or len(db) != 1:
+        return c - a * b
+    return c._plus(_new(_mul_terms(a._num, b._num), {_UNIT: (da[_UNIT][0] * db[_UNIT][0], 0)}), -1)
+
+
 @lru_cache(maxsize=None)
 def _sympy_field():
     """sympy's Q(i)(lam, g) with grlex order, lam > g; imported on first use."""
@@ -226,26 +266,11 @@ class ParamScalar:
         if not n2:
             return self
         d1, d2 = den1[_UNIT][0], den2[_UNIT][0]
-        if d1 == d2:
-            s1, s2, d = 1, sign, d1
-        else:
-            g = gcd(d1, d2)
-            s1, s2 = d2 // g, sign * (d1 // g)
-            d = d1 * s1
+        g = gcd(d1, d2)
+        s1 = d2 // g
         out = dict(n1) if s1 == 1 else {m: (x * s1, y * s1) for m, (x, y) in n1.items()}
-        for m, (u, v) in n2.items():
-            if s2 != 1:
-                u, v = u * s2, v * s2
-            cur = out.get(m)
-            if cur is None:
-                out[m] = (u, v)
-            else:
-                re, im = cur[0] + u, cur[1] + v
-                if re or im:
-                    out[m] = (re, im)
-                else:
-                    del out[m]
-        return _laurent(out, d)
+        _add_times(out, n2, sign * (d1 // g))
+        return _laurent(out, d1 * s1)
 
     def __add__(self, other):
         if other.__class__ is not ParamScalar:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ParamScalar, LAM, G, I, ONE, scalar, _is_atomic
+from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar, _is_atomic, _minus_product
 from .weyl import (WeylOperator, SPACE_ZZB, variable, derivative, identity_op)
 
 __all__ = [
@@ -709,9 +709,9 @@ class SpanSolver:
 
 
 def _sub_scaled(acc: dict, other: dict, factor):
+    """acc -= factor*other, each entry canonicalized once."""
     for k, v in other.items():
-        cur = acc.get(k)
-        nv = (-factor * v) if cur is None else cur - factor * v
+        nv = _minus_product(acc.get(k, ZERO), factor, v)
         if nv.is_zero():
             acc.pop(k, None)
         else:

@@ -23,7 +23,8 @@ import operator
 from functools import lru_cache
 from itertools import product as _iproduct
 
-from .coeff import ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic
+from .coeff import (ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic,
+                    _lcd, _product_over, _add_times, _laurent)
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
@@ -311,19 +312,35 @@ class WeylOperator(SparseTerms):
 
 def _contract(terms1, terms2, expand, *args):
     """Sum over term pairs of ``c1*c2`` times ``expand(m1, m2, *args)``, the
-    pair's normal-ordered expansion as (monomial, int weight) pairs.  A pair
-    that expands to nothing costs no scalar product."""
-    out = {}
+    pair's normal-ordered expansion as (monomial, int weight) pairs, in
+    Gaussian integers over a common denominator: each output coefficient is
+    canonicalized once.  A non-monomial denominator (only a CLI division such
+    as ``H/(lam-g)`` makes one) takes ParamScalar arithmetic instead."""
+    d1, d2 = _lcd(terms1.values()), _lcd(terms2.values())
+    if d1 is None or d2 is None:
+        out = {}
+        for m1, c1 in terms1.items():
+            for m2, c2 in terms2.items():
+                pairs = expand(m1, m2, *args)
+                c12 = c1 * c2 if pairs else None
+                for m, k in pairs:
+                    add = c12 if k == 1 else c12 * k
+                    out[m] = add if (cur := out.get(m)) is None else cur + add
+        return out
+    acc = {}
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
             pairs = expand(m1, m2, *args)
             if pairs:
-                c12 = c1 * c2
+                n12, s = _product_over(c1, c2, d1 * d2)
                 for m, k in pairs:
-                    add = c12 if k == 1 else c12 * k
-                    cur = out.get(m)
-                    out[m] = add if cur is None else cur + add
-    return out
+                    if m in acc:
+                        _add_times(acc[m], n12, k * s)
+                    else:   # a copy: later pairs add into it in place
+                        k *= s
+                        acc[m] = dict(n12) if k == 1 else {e: (x * k, y * k)
+                                                           for e, (x, y) in n12.items()}
+    return {m: _laurent(sums, d1 * d2) for m, sums in acc.items() if sums}
 
 
 _REORDER_CACHE = {}

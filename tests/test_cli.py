@@ -201,6 +201,23 @@ def test_inner_conjugates_each_letter_once_and_multiplies_no_operators(monkeypat
     assert products == []
 
 
+def test_inner_reads_a_raising_letter_product_as_its_word(monkeypatch, capsys):
+    # scalars and raising letters make a creation word with no state built;
+    # any other factor still acts on Psi0 and is peeled off
+    sides = [("lam*(2*C+)^2*A+", "B+*I*C+^2"), ("H*A+", "B+")]
+    want = [run(capsys, "inner", *pair) for pair in sides]
+    calls = []
+    for owner, name in ((weyl.WeylOperator, "apply"), (fock, "gaussian_state_to_creation")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert run(capsys, "inner", *sides[0]) == want[0]
+    assert calls == []
+    assert run(capsys, "inner", *sides[1]) == want[1]
+    assert "apply" in calls and "gaussian_state_to_creation" in calls
+
+
 def test_tabulate_n(capsys):
     code, out, _ = run(capsys, "tabulate", "--what", "N", "--max-k", "1", "--max-n", "1")
     assert code == 0

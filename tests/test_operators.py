@@ -5,7 +5,7 @@ import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quadosc.coeff import LAM, G, ONE, scalar
+from quadosc.coeff import LAM, G, I, ONE, scalar
 from quadosc.weyl import WeylOperator, SPACE_ZZB, identity_op
 from quadosc import operators as ops
 
@@ -181,6 +181,20 @@ def test_span_solver_rejects_outsiders():
     c = ops.catalogue()
     cubic = ops.SqrtTwoLamOperator.of(c["A+"] * c["A+"] * c["A+"])
     assert ops.express_in_span(cubic) is None
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(
+    st.integers(0, 21),
+    st.sampled_from([ONE, -I, scalar(3) / 4 - I / 2, I / (2 * LAM), G / (3 * LAM ** 2),
+                     LAM * G, ONE / (LAM - G)]),
+    min_size=1, max_size=3))
+def test_express_in_span_recovers_known_coefficients(picks):
+    # a combination of the 22 spanning elements, over monomial and
+    # non-monomial denominators, gives back its own coefficients
+    basis = ops._span_basis()
+    target = sum((basis[i][1].scale(c) for i, c in picks.items()), ops.SqrtTwoLamOperator())
+    assert ops.express_in_span(target) == {basis[i][0]: c for i, c in picks.items()}
 
 
 def test_span_solver_rows_are_independent():

@@ -8,12 +8,13 @@ _SLOW_OK = settings(max_examples=20, deadline=None,
                                            HealthCheck.data_too_large,
                                            HealthCheck.filter_too_much])
 
-from quadosc.coeff import LAM, G, I, ONE, scalar
+from quadosc import coeff, weyl
+from quadosc.coeff import LAM, G, I, ONE, ZERO, ParamScalar, scalar
 from quadosc.weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
                           WEIGHT_STD, WEIGHT_SWAPPED,
                           variable, derivative, identity_op, ground_state,
                           poly_var, poly_one)
-from quadosc.operators import catalogue
+from quadosc.operators import boson, catalogue
 
 Z, ZB, X3 = (variable(i) for i in range(3))
 DZ, DZB, D3 = (derivative(i) for i in range(3))
@@ -84,7 +85,11 @@ def test_eta_apply_involution():
 
 
 def small_scalars():
-    return st.sampled_from([ONE, -ONE, LAM, G, I, LAM * G, ONE + G, scalar(2)])
+    # Gaussian rationals, negative powers and a non-monomial denominator, so
+    # that products and brackets take both of the kernel's paths
+    return st.sampled_from([ONE, -ONE, LAM, G, I, LAM * G, ONE + G, scalar(2),
+                            scalar(3) / 4 - I / 2, I / (2 * LAM), G / (3 * LAM ** 2),
+                            ONE / (LAM - G)])
 
 
 def monomials(top=1):
@@ -236,6 +241,57 @@ def test_bracket_kernel_matches_the_products(a, b):
         for bracket in (a.commutator, a.anticommutator):
             with pytest.raises(ValueError):
                 bracket(other)
+
+
+def contract_oracle(a, b, expand, *args):
+    """The kernel's sum, one ParamScalar operation at a time."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            for m, k in expand(m1, m2, *args):
+                out[m] = out.get(m, ZERO) + c1 * c2 * k
+    return {m: c for m, c in out.items() if c}
+
+
+@_SLOW_OK
+@given(operators(), operators())
+def test_contract_matches_scalar_arithmetic(a, b):
+    # integer sums over a common denominator against ParamScalar operators;
+    # scaled by 1/(lam-g), an operand takes the kernel's ParamScalar path
+    for x in (a, a.scale(ONE / (LAM - G))):
+        for expand, args in ((weyl._reorder, ()), (weyl._bracket_terms, (-1,)),
+                             (weyl._bracket_terms, (1,))):
+            got = weyl._contract(x.terms, b.terms, expand, *args)
+            assert weyl._clean(got) == contract_oracle(x, b, expand, *args)
+
+
+def test_bracket_kernel_makes_no_scalar_operator_call(monkeypatch):
+    # the kernel sums integers and builds one value per output monomial
+    # [E12, D+13] cancels to zero; [E12, D+23] = D+13 does not
+    e12, b = catalogue()["E12"], boson()
+    pairs = [(e12, b["D+13"].even), (e12, b["D+23"].even)]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        def counted(*args, _name=name, _op=getattr(ParamScalar, name)):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(ParamScalar, name, counted)
+    built = []
+    new = coeff._new
+
+    def counted_new(num, den):
+        built.append(num)
+        return new(num, den)
+
+    monkeypatch.setattr(coeff, "_new", counted_new)
+    brackets = [x.commutator(y) for x, y in pairs]
+    assert calls == []
+    assert len(built) == sum(len(bracket.terms) for bracket in brackets)
+    assert brackets[0].is_zero() and not brackets[1].is_zero()
+    monkeypatch.undo()
+    for (x, y), bracket in zip(pairs, brackets):
+        assert bracket == x * y - y * x
 
 
 def test_space_mismatch_rejected():
