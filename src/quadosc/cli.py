@@ -23,7 +23,7 @@ from . import expr as _expr
 from .coeff import ParamScalar
 from .jordan import JordanLabel
 from .report import VerificationReport, merge_reports
-from .weyl import SPACE_ZZB, WeylOperator, ground_state
+from .weyl import ground_state
 
 SUITES = ("ladder", "algebra", "gl3", "boson", "sp6", "integrals",
           "jordan", "uvw", "biortho")
@@ -196,76 +196,38 @@ def _cmd_commutator(args) -> int:
     return 0
 
 
-class _OutsideModelSpace(Exception):
-    """A factor of an `inner` side is an operator of another space."""
-
-
-def _action(node):
-    """How ``node`` acts on a state, its leaves evaluated left to right as
-    the evaluator takes them: a ParamScalar, a zzb WeylOperator, a list (a
-    product, whose factors act right to left) or a pair (base, e) (a power,
-    whose base acts e times).  Products and powers of scalars are their
-    value."""
-    if node.kind == "product":
-        parts = [_action(child) for child in node.children]
-        if all(isinstance(part, ParamScalar) for part in parts):
-            return functools.reduce(operator.mul, parts)
-        return parts
-    if node.kind == "power":
-        base, e = _action(node.children[0]), int(node.value)
-        return base ** e if isinstance(base, ParamScalar) else (base, e)
-    value = _expr._evaluate(node)
-    if isinstance(value, WeylOperator) and value.space != SPACE_ZZB:
-        raise _OutsideModelSpace
-    return value
-
-
-def _act(action, state):
-    if isinstance(action, ParamScalar):
-        return state.scale(action)
-    if isinstance(action, WeylOperator):
-        return action.apply(state)
-    if isinstance(action, tuple):
-        base, e = action
-        for _ in range(e):
-            state = _act(base, state)
-        return state
-    for part in reversed(action):
-        state = _act(part, state)
-    return state
-
-
-def _word(action):
-    """The creation polynomial of ``action`` when it is a product of scalars
-    and raising letters, which commute; else None."""
-    if isinstance(action, ParamScalar):
-        return _fock.CreationPolynomial.word(0, 0, 0, action)
-    if isinstance(action, WeylOperator):
-        for name, word in (("A+", (1, 0, 0)), ("B+", (0, 1, 0)), ("C+", (0, 0, 1))):
-            if action is _ops.op(name):
-                return _fock.CreationPolynomial.word(*word)
-        return None
-    if isinstance(action, tuple):
-        base = _word(action[0])
-        return None if base is None else base ** action[1]
-    parts = [_word(part) for part in action]
-    return None if any(part is None for part in parts) else functools.reduce(operator.mul, parts)
+def _word(node):
+    """The creation polynomial of ``node`` when it is a product or power of
+    scalar leaves and the raising letters A+, B+, C+, which commute; else
+    None."""
+    if node.kind in ("product", "power"):
+        parts = []
+        for child in node.children:
+            part = _word(child)
+            if part is None:
+                return None
+            parts.append(part)
+        if node.kind == "power":
+            return parts[0] ** int(node.value)
+        return functools.reduce(operator.mul, parts)
+    if node.kind == "name" and (letter := _fock.CreationPolynomial.letter(node.name)) is not None:
+        return letter
+    if node.kind in ("scalar", "name"):
+        value = _expr._evaluate(node)
+        if isinstance(value, ParamScalar):
+            return _fock.CreationPolynomial.word(0, 0, 0, value)
+    return None
 
 
 def _creation_from_expr(text):
     """The creation polynomial of the state an expression makes of Psi0.  A
-    product of scalars and raising letters is read off as words.  Other
-    expressions act factor by factor, each letter through its cached
-    conjugation, and the words are peeled off the state; one with a factor of
-    another space is evaluated whole, so that ``evaluate`` raises its errors."""
+    product of scalars and raising letters is read off as its word; any other
+    expression is evaluated whole, applied to Psi0 and its words peeled off,
+    so that the evaluator and ``apply`` raise their own errors."""
     node = _expr.parse(text)
-    try:
-        action = _action(node)
-    except _OutsideModelSpace:
-        return _fock.gaussian_state_to_creation(_expr.evaluate(node).apply(ground_state()))
-    creation = _word(action)
+    creation = _word(node)
     if creation is None:
-        creation = _fock.gaussian_state_to_creation(_act(action, ground_state()))
+        creation = _fock.gaussian_state_to_creation(_expr.evaluate(node).apply(ground_state()))
     return creation
 
 

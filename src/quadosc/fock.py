@@ -57,6 +57,15 @@ class CreationPolynomial(Poly3):
         return cls({(i, j, l): coeff if coeff is not None else ONE})
 
     @classmethod
+    def letter(cls, name: str):
+        """The one-letter word of the raising letter ``name`` (A+, B+ or
+        C+); None for any other name."""
+        for axis, x in enumerate(_LETTERS):
+            if name == f"{x}+":
+                return cls.word(*(int(i == axis) for i in range(3)))
+        return None
+
+    @classmethod
     def zero(cls):
         return cls({})
 

@@ -183,8 +183,8 @@ def test_inner_matches_the_one_operator_route_byte_for_byte(capsys, bra, ket):
 
 
 def test_inner_conjugates_each_letter_once_and_multiplies_no_operators(monkeypatch, capsys):
-    # the letters act one at a time, each through its cached conjugation; a
-    # product operator would miss that cache and cost Weyl products
+    # a product of raising letters is read off as its creation word: no
+    # letter is conjugated and no product operator is built
     want = run(capsys, "inner", "A+*B+*C+", "C+*B+*A+")
     assert want == _inner_by_one_operator("A+*B+*C+", "C+*B+*A+")
     weyl._conjugated.cache_clear()
@@ -203,7 +203,7 @@ def test_inner_conjugates_each_letter_once_and_multiplies_no_operators(monkeypat
 
 def test_inner_reads_a_raising_letter_product_as_its_word(monkeypatch, capsys):
     # scalars and raising letters make a creation word with no state built;
-    # any other factor still acts on Psi0 and is peeled off
+    # any other side is evaluated whole, acts on Psi0 and is peeled off
     sides = [("lam*(2*C+)^2*A+", "B+*I*C+^2"), ("H*A+", "B+")]
     want = [run(capsys, "inner", *pair) for pair in sides]
     calls = []
