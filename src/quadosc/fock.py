@@ -10,9 +10,10 @@ The two engines are deliberately unrelated:
 * :func:`wick_inner` contracts creation words against each other with the
   constant cross-brackets of the letters, reducing each monomial pairing to a
   signed matrix permanent, summed over tables of letter-pair counts.
-* :func:`gaussian_moment_inner` works directly with wavefunctions: it expands
-  the integrand over real coordinates and evaluates formal Gaussian moments
-  from the exact inverse of the quadratic-form matrix.
+* :func:`gaussian_moment_inner` works directly with wavefunctions: it
+  multiplies them in (z, zb, x3) and sums each monomial's formal Gaussian
+  moment, which it expands over the real coordinates and evaluates from the
+  exact inverse of the quadratic-form matrix, once per monomial.
 
 Their agreement on a sweep of states is one of the acceptance criteria.
 """
@@ -406,15 +407,29 @@ def _x123_images():
     return (x1 + x2.scale(I), x1 + x2.scale(-I), x3)
 
 
+@lru_cache(maxsize=None)
+def _zzb_moment(mono) -> ParamScalar:
+    """<z^a zb^b x3^c> for the zzb monomial ``mono``: the monomial written in
+    the real coordinates, each of its terms paired by :func:`_moment`."""
+    if sum(mono) % 2:
+        return ZERO
+    total = ZERO
+    for real, coeff in Poly3({mono: ONE}, SPACE_ZZB).substitute(_x123_images()).terms.items():
+        m = _moment(real)
+        if not m.is_zero():
+            total = total + coeff * m
+    return total
+
+
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:
     """Independent oracle: int bra ket Psi0^2 / int Psi0^2 by formal Gaussian
-    moments over the real coordinates."""
+    moments over the real coordinates, tabulated per zzb monomial of the
+    product bra * ket."""
     if bra.weight != ket.weight or bra.weight != WEIGHT_STD:
         raise ValueError("the moment oracle pairs standard-weight states")
-    prod = (bra.poly * ket.poly).substitute(_x123_images())
     total = ZERO
-    for mono, coeff in prod.terms.items():
-        m = _moment(mono)
+    for mono, coeff in (bra.poly * ket.poly).terms.items():
+        m = _zzb_moment(mono)
         if not m.is_zero():
             total = total + coeff * m
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
@@ -79,8 +79,13 @@ class AssociatedState:
     def uvw_poly(self) -> Poly3:
         return _fock.creation_to_uvw(self.creation)
 
-    def gaussian(self) -> GaussianState:
+    @cached_property
+    def _zzb(self) -> GaussianState:
         return _fock.to_gaussian_state(self.creation)
+
+    def gaussian(self) -> GaussianState:
+        """The wavefunction, built on the first call and kept with the state."""
+        return self._zzb
 
     def to_json(self):
         return {
@@ -95,6 +100,7 @@ class AssociatedState:
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def coeff_a(n: int, p: int, q: int) -> ParamScalar:
     """Closed-form even-step coefficient; vanishes when q < 2p - n."""
     if not (0 <= p <= n):
@@ -110,6 +116,7 @@ def coeff_a(n: int, p: int, q: int) -> ParamScalar:
     return scalar(val) * G ** (2 * p)
 
 
+@lru_cache(maxsize=None)
 def coeff_b(n: int, p: int, q: int) -> ParamScalar:
     """Closed-form odd-step coefficient; vanishes when q < 2p + 1 - n."""
     if not (0 <= p <= n - 1):
@@ -488,25 +495,36 @@ def verify_auxiliary_relations(n_max: int = 3, p_max: int = 4) -> list:
 
     The correction term for the second letter is -2*p*g*(B+)^(p-1)*C+;
     a printed source shows a q in place of that g, which fails symbolically.
+    Every product is taken once, before the loop over n: by bilinearity
+    (H - 2*n*lam) X^p = H X^p - 2*n*lam X^p, so H X^p and X^p H serve all n.
     """
     cat = _ops.catalogue()
+    H = cat["H"]
+    powers = {}
+    for x in "ABC":
+        row = [identity_op(), cat[f"{x}+"]]
+        while len(row) <= p_max:
+            row.append(row[-1] * row[1])
+        powers[x] = row
+    A, B, C = powers["A"], powers["B"], powers["C"]
+    sides = {}
+    for p in range(1, p_max + 1):
+        corrections = {"B": B[p - 1] * C[1], "C": A[1] * C[p - 1]}
+        for x in "ABC":
+            xp = powers[x][p]
+            right = xp * H
+            if x in corrections:
+                right = right - corrections[x].scale(scalar(2 * p) * G)
+            sides[(x, p)] = (xp, H * xp, right)
     out = []
     for n in range(0, n_max + 1):
-        shift_n = cat["H"] - identity_op().scale(scalar(2 * n) * LAM)
         for p in range(1, p_max + 1):
-            shift_np = cat["H"] - identity_op().scale(scalar(2 * (n - p)) * LAM)
-            ap, bp, cp = cat["A+"] ** p, cat["B+"] ** p, cat["C+"] ** p
-            out.append(record(
-                f"jordan/aux-A-n{n}-p{p}", "shift relation for powers of A+",
-                shift_n * ap, ap * shift_np))
-            out.append(record(
-                f"jordan/aux-B-n{n}-p{p}", "shift relation for powers of B+",
-                shift_n * bp,
-                bp * shift_np - (cat["B+"] ** (p - 1) * cat["C+"]).scale(scalar(2 * p) * G)))
-            out.append(record(
-                f"jordan/aux-C-n{n}-p{p}", "shift relation for powers of C+",
-                shift_n * cp,
-                cp * shift_np - (cat["A+"] * cat["C+"] ** (p - 1)).scale(scalar(2 * p) * G)))
+            for x in "ABC":
+                xp, left, right = sides[(x, p)]
+                out.append(record(
+                    f"jordan/aux-{x}-n{n}-p{p}", f"shift relation for powers of {x}+",
+                    left - xp.scale(scalar(2 * n) * LAM),
+                    right - xp.scale(scalar(2 * (n - p)) * LAM)))
     return out
 
 

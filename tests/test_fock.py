@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadosc.coeff import LAM, G, I, ONE, ZERO, scalar
 from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
-                          SPACE_UVW, poly_var)
+                          SPACE_UVW, SPACE_X123, poly_var)
 from quadosc import fock
 from quadosc import operators as ops
 from quadosc.fock import CreationPolynomial, wick_inner, gaussian_moment_inner
@@ -307,6 +307,81 @@ def test_zzb_elimination_matches_uvw_peeling_off_the_round_trip(name, poly):
     if name is not None:
         state = ops.op(name).apply(state)
     assert_elimination_matches_uvw_peeling(state)
+
+
+def moment_of_product_oracle(bra, ket):
+    """The moment engine's former route: the whole product written in the
+    real coordinates (z = x1 + i x2, zb = x1 - i x2, stated here on their
+    own), then every monomial paired by ``fock._moment``."""
+    x1, x2, x3 = (poly_var(i, SPACE_X123) for i in range(3))
+    real = (bra.poly * ket.poly).substitute((x1 + x2.scale(I), x1 + x2.scale(-I), x3))
+    total = ZERO
+    for mono, coeff in real.terms.items():
+        total = total + coeff * fock._moment(mono)
+    return total
+
+
+def moment_test_states(max_deg=4, max_size=3):
+    # not creation words: arbitrary monomials (a degree, then its split, so
+    # nothing is filtered), with coefficients that carry i and a monomial
+    # denominator
+    monos = st.integers(0, max_deg).flatmap(
+        lambda d: st.integers(0, d).flatmap(
+            lambda a: st.integers(0, d - a).map(lambda b: (a, b, d - a - b))))
+    coeffs = st.sampled_from([ONE, -ONE, I, LAM, G * I, G / (3 * LAM ** 2),
+                              scalar(Fraction(3, 4)) - I / 2])
+    return st.builds(lambda ts: GaussianState(Poly3(dict(ts), SPACE_ZZB)),
+                     st.lists(st.tuples(monos, coeffs), min_size=1, max_size=max_size))
+
+
+@settings(max_examples=25, deadline=None)
+@given(moment_test_states(), moment_test_states(), moment_test_states(2, 1),
+       st.sampled_from([ONE / (LAM - G), I / (LAM - G) + G]))
+def test_moment_table_matches_the_product_substitution(bra, ket, extra, c):
+    assert gaussian_moment_inner(bra, ket) == moment_of_product_oracle(bra, ket)
+    # a coefficient with a non-monomial denominator: the product route spends
+    # seconds per example in the sympy field, so the oracle takes that term
+    # by linearity
+    mixed = ket + extra.scale(c)
+    assert gaussian_moment_inner(bra, mixed) == (moment_of_product_oracle(bra, ket)
+                                                 + c * moment_of_product_oracle(bra, extra))
+
+
+def test_moment_table_anchors():
+    def mono(a, b, c):
+        return GaussianState(Poly3({(a, b, c): ONE}, SPACE_ZZB))
+
+    psi0 = ground_state()
+    for d in (1, 3, 5):
+        for a in range(d + 1):
+            for b in range(d - a + 1):
+                assert fock._zzb_moment((a, b, d - a - b)).is_zero()
+                assert gaussian_moment_inner(mono(a, b, d - a - b), psi0).is_zero()
+    cov = fock._covariance()
+    # z zb = x1^2 + x2^2, and x3 is a real coordinate
+    assert gaussian_moment_inner(mono(1, 0, 0), mono(0, 1, 0)) == cov[0][0] + cov[1][1]
+    assert gaussian_moment_inner(mono(0, 0, 1), mono(0, 0, 1)) == cov[2][2]
+    assert fock._zzb_moment((2, 0, 0)) == cov[0][0] - cov[1][1] + 2 * I * cov[0][1]
+    assert fock._zzb_moment((1, 0, 1)) == cov[0][2] + I * cov[1][2]
+
+
+def test_oracle_agreement_substitutes_each_monomial_once(monkeypatch):
+    from quadosc import biortho
+    seen = []
+    substitute = Poly3.substitute
+
+    def recording(self, images):
+        if images[0].space == SPACE_X123:
+            seen.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Poly3, "substitute", recording)
+    fock._zzb_moment.cache_clear()
+    assert all(r.ok for r in biortho.verify_oracle_agreement(4))
+    assert seen
+    assert all(len(p.terms) == 1 for p in seen)          # never a product
+    monos = [next(iter(p.terms)) for p in seen]
+    assert len(set(monos)) == len(monos)                 # each monomial once
 
 
 def test_swapped_weight_has_no_creation_polynomial():

@@ -98,6 +98,35 @@ def test_auxiliary_relations_suite():
     assert all(r.ok for r in recs)
 
 
+def test_auxiliary_relations_take_their_products_once(monkeypatch):
+    # every product is formed before the loop over n, so raising n_max adds
+    # records but no Weyl products
+    ops.catalogue()
+    mul = J.WeylOperator.__mul__
+    counts = []
+
+    def counting(self, other):
+        counts[-1] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(J.WeylOperator, "__mul__", counting)
+    for n_max in (1, 3):
+        counts.append(0)
+        assert all(r.ok for r in J.verify_auxiliary_relations(n_max, 3))
+    assert counts[0] == counts[1] > 0
+
+
+def test_auxiliary_relations_fail_with_lam_in_the_correction(monkeypatch):
+    # the corrections carry g; with lam in its place the B+ and C+ relations
+    # must fail at every n and p, while A+, which has none, still holds
+    monkeypatch.setattr(J, "G", LAM)
+    recs = J.verify_auxiliary_relations(2, 3)
+    by_letter = {x: [r for r in recs if r.id.startswith(f"jordan/aux-{x}-")] for x in "ABC"}
+    assert len(by_letter["B"]) == 9
+    assert all(r.ok for r in by_letter["A"])
+    assert not any(r.ok for r in by_letter["B"] + by_letter["C"])
+
+
 def test_coefficient_recursions_small():
     recs = J.verify_coefficient_recursions(5)
     assert all(r.ok for r in recs)
