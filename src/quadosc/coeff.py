@@ -1,48 +1,37 @@
 """Exact scalar arithmetic for the model coefficients.
 
-Every coefficient in the oscillator algebra lives in the field Q(i)(lam, g)
-of rational functions in the two real model parameters ``lam`` and ``g``,
-with Gaussian rational (a + b*I) coefficients.  All arithmetic is exact;
-there is no floating point anywhere in this package.
+Every coefficient in the oscillator algebra lives in the Laurent ring
+Q(i)[lam^±1, g^±1] of the two real model parameters ``lam`` and ``g``, with
+Gaussian rational (a + b*I) coefficients: the ladder coefficients with
+powers of g in the denominator, the 1/(2*lam) of the biorthogonal basis and
+the residual -8*g^2 all lie in it.  All arithmetic is exact; there is no
+floating point anywhere in this package.
 
-Representation.  A value is a pair of sparse maps from exponent pairs
-``(e_lam, e_g)`` to Gaussian integers ``(re, im)``, all plain Python ints:
+Representation.  A value is a Laurent map ``_num`` from exponent pairs
+``(e_lam, e_g)``, negative ones included, to Gaussian integers ``(re, im)``,
+over a positive integer denominator d, kept as the one-entry map
+``_den = {(0, 0): (d, 0)}``.  All are plain Python ints.  Canonical form: the
+integers of ``_num`` and d have no common divisor, so every value has one
+representation, and zero is ``{}`` over 1.  A constant value is a Gaussian
+rational; there is no separate type for one.  Values are immutable and
+hashable, and a real constant hashes like its ``Fraction``.
 
-* ``_num`` is a Laurent polynomial: a negative exponent carries a monomial
-  denominator lam^a*g^b;
-* ``_den`` is a polynomial divisible by neither lam nor g.
+Arithmetic.  ``+``, ``-``, ``*``, powers and conjugation are integer products
+and sums, then one ``math.gcd`` pass over the coefficients.  Powers square
+repeatedly.  The Weyl kernel and the span reduction sum integer maps over a
+common denominator and pay that pass once per result (:func:`_add_times`).
+Division and negative powers need an inverse in the ring, so the divisor
+must be a nonzero unit times a monomial, as in ``1/(2*lam)``; any other
+divisor, such as ``lam - g``, raises a ``ValueError`` that names it.  A zero
+divisor raises ``ZeroDivisionError``.
 
-Canonical form: ``_num`` and ``_den`` share no factor but units and
-monomials, the leading coefficient of ``_den`` under graded lexicographic
-order with lam > g is a positive integer, and the integers of both maps have
-no common divisor.  So every value has one representation, and zero is
-``{}`` over ``{(0, 0): (1, 0)}``.  A monomial denominator, the only kind the
-suites build, leaves ``_den`` the constant ``{(0, 0): (d, 0)}``, so
-``len(_den) == 1`` exactly when the denominator is a monomial.  A constant
-value is a Gaussian rational; there is no separate type for one.  Values
-are immutable and hashable, and a real constant hashes like its
-``Fraction``.
-
-Arithmetic.  ``+``, ``-``, ``*``, powers, conjugation and division by a unit
-times a monomial stay in this Laurent ring: integer products and sums, then
-one ``math.gcd`` pass over the coefficients.  Powers square repeatedly.  The
-Weyl kernel and the span reduction sum integer maps over a common
-denominator and pay that pass once per result (:func:`_add_times`).  None of
-this imports sympy.  An operation with an operand whose denominator is not a
-monomial, a division by anything but a unit times a monomial, and a negative
-power of such a value take sympy's fraction field over QQ_I, which is
-imported on the first such operation: only these need a polynomial GCD, as
-in ``(lam^2-g^2)/(lam-g)`` or ``H/(lam+g)`` on the command line.
-
-``render``, ``evaluate`` and ``_frac`` read the classical pair: numerator
-and monic denominator with nonnegative exponents, coprime.
+``render`` and ``evaluate`` read the classical pair: a numerator with
+nonnegative exponents over the monomial lam^a*g^b.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = ["ParamScalar", "LAM", "G", "I", "ZERO", "ONE"]
@@ -93,11 +82,6 @@ _UNIT = (0, 0)
 _ONE_DEN = {_UNIT: (1, 0)}   # shared denominator of every value over 1; never mutated
 
 
-def _grlex(m):
-    """Sort key of graded lexicographic order with lam > g."""
-    return (m[0] + m[1], m[0])
-
-
 def _mul_terms(n1, n2):
     """The product of two Laurent maps."""
     out = {}
@@ -145,13 +129,10 @@ def _laurent(num, d: int) -> "ParamScalar":
 
 
 def _lcd(values):
-    """The values' least common integer denominator; None for a non-monomial."""
+    """The values' least common integer denominator."""
     d = 1
     for c in values:
-        den = c._den
-        if len(den) != 1:
-            return None
-        d = lcm(d, den[_UNIT][0])
+        d = lcm(d, c._den[_UNIT][0])
     return d
 
 
@@ -176,22 +157,12 @@ def _add_times(acc, num, k: int):
 
 def _minus_product(c, a, b):
     """c - a*b, canonicalized once: the product stays unreduced till then."""
-    da, db = a._den, b._den
-    if len(da) != 1 or len(db) != 1:
-        return c - a * b
-    return c._plus(_new(_mul_terms(a._num, b._num), {_UNIT: (da[_UNIT][0] * db[_UNIT][0], 0)}), -1)
-
-
-@lru_cache(maxsize=None)
-def _sympy_field():
-    """sympy's Q(i)(lam, g) with grlex order, lam > g; imported on first use."""
-    from sympy.polys.domains import QQ_I
-    from sympy.polys.fields import field
-    return field("lam,g", QQ_I, order="grlex")[0]
+    d = a._den[_UNIT][0] * b._den[_UNIT][0]
+    return c._plus(_new(_mul_terms(a._num, b._num), {_UNIT: (d, 0)}), -1)
 
 
 class ParamScalar:
-    """Element of Q(I)(lam, g), kept in canonical reduced form."""
+    """Element of Q(i)[lam^±1, g^±1], kept in canonical reduced form."""
 
     __slots__ = ("_num", "_den", "_hash")
 
@@ -207,65 +178,17 @@ class ParamScalar:
         _SET_NUM(self, num)
         _SET_DEN(self, den)
 
-    @classmethod
-    def _raw(cls, frac):
-        """The canonical value of an element of sympy's field, whose
-        numerator and denominator the field keeps coprime."""
-        def terms(p):
-            return {m: (Fraction(int(c.x.numerator), int(c.x.denominator)),
-                        Fraction(int(c.y.numerator), int(c.y.denominator)))
-                    for m, c in p.items()}
-
-        num, den = terms(frac.numer), terms(frac.denom)
-        # times the conjugate of den's leading coefficient, which turns it
-        # real and positive; then to coprime integers, and den's monomial
-        # factor into num's exponents
-        x0, y0 = den[max(den, key=_grlex)]
-        num = {m: (x * x0 + y * y0, y * x0 - x * y0) for m, (x, y) in num.items()}
-        den = {m: (x * x0 + y * y0, y * x0 - x * y0) for m, (x, y) in den.items()}
-        parts = [q for side in (num, den) for c in side.values() for q in c]
-        scale = lcm(*(q.denominator for q in parts))
-        content = gcd(*(q.numerator * (scale // q.denominator) for q in parts))
-        s_lam = min(a for a, _ in den)
-        s_g = min(b for _, b in den)
-
-        def ints(terms):
-            return {(a - s_lam, b - s_g): (int(x * scale) // content, int(y * scale) // content)
-                    for (a, b), (x, y) in terms.items()}
-
-        return _new(ints(num), ints(den))
-
     def __setattr__(self, name, value):
         raise AttributeError("ParamScalar is immutable")
 
-    def _frac(self):
-        """This value as an element of sympy's field."""
-        field = _sympy_field()
-        ring = field.ring
-        dom = ring.domain
-        qq = dom.dom
-
-        def poly(terms):
-            return ring.from_dict({m: dom.new(qq(re.numerator, re.denominator),
-                                              qq(im.numerator, im.denominator))
-                                   for m, (re, im) in terms})
-
-        num, den = self._parts()
-        return field.raw_new(poly(num), poly(den))
-
     # -- arithmetic ---------------------------------------------------------
-    # A value over a monomial has len(_den) == 1 and the integer
-    # denominator _den[_UNIT][0]; any other operand takes sympy's field.
 
     def _plus(self, other, sign: int):
         """self + sign*other."""
-        den1, den2 = self._den, other._den
-        if len(den1) != 1 or len(den2) != 1:
-            return _via_field(operator.add if sign > 0 else operator.sub, self, other)
         n1, n2 = self._num, other._num
         if not n2:
             return self
-        d1, d2 = den1[_UNIT][0], den2[_UNIT][0]
+        d1, d2 = self._den[_UNIT][0], other._den[_UNIT][0]
         g = gcd(d1, d2)
         s1 = d2 // g
         out = dict(n1) if s1 == 1 else {m: (x * s1, y * s1) for m, (x, y) in n1.items()}
@@ -298,17 +221,15 @@ class ParamScalar:
         return other._plus(self, -1)
 
     def __mul__(self, other):
-        den = self._den
+        d = self._den[_UNIT][0]
         if other.__class__ is not ParamScalar:
-            if other.__class__ is int and len(den) == 1:
+            if other.__class__ is int:
                 num = {m: (x * other, y * other) for m, (x, y) in self._num.items()}
-                return _laurent(num if other else {}, den[_UNIT][0])
+                return _laurent(num if other else {}, d)
             other = _as_scalar(other)
             if other is None:
                 return NotImplemented
-        if len(den) != 1 or len(other._den) != 1:
-            return _via_field(operator.mul, self, other)
-        return _laurent(_mul_terms(self._num, other._num), den[_UNIT][0] * other._den[_UNIT][0])
+        return _laurent(_mul_terms(self._num, other._num), d * other._den[_UNIT][0])
 
     __rmul__ = __mul__
 
@@ -318,10 +239,7 @@ class ParamScalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("ParamScalar division by zero")
-        inverse = other._unit_inverse()
-        if inverse is None or len(self._den) != 1:
-            return _via_field(operator.truediv, self, other)
-        num, d = inverse
+        num, d = other._inverse()
         return _laurent(_mul_terms(self._num, num), self._den[_UNIT][0] * d)
 
     def __rtruediv__(self, other):
@@ -330,11 +248,11 @@ class ParamScalar:
             return NotImplemented
         return other / self
 
-    def _unit_inverse(self):
-        """(num, d) with 1/self = num/d when self is a nonzero unit times a
-        monomial, else None."""
-        if len(self._num) != 1 or len(self._den) != 1:
-            return None
+    def _inverse(self):
+        """(num, d) with 1/self = num/d, for self a nonzero unit times a
+        monomial: the only values with an inverse in the ring."""
+        if len(self._num) != 1:
+            raise ValueError(f"cannot divide by {self.render()}: not a unit times a monomial")
         ((a, b), (x, y)), = self._num.items()
         d = self._den[_UNIT][0]
         return {(-a, -b): (d * x, -d * y)}, x * x + y * y
@@ -346,12 +264,10 @@ class ParamScalar:
             return ONE
         if n < 0 and self.is_zero():
             raise ZeroDivisionError("0 ** negative")
-        if n > 0 and len(self._den) == 1:
+        if n > 0:
             pair = self._num, self._den[_UNIT][0]
-        elif n < 0 and (pair := self._unit_inverse()) is not None:
-            n = -n
         else:
-            return ParamScalar._raw(self._frac() ** n)
+            pair, n = self._inverse(), -n
         return _laurent(*power(pair, n, _mul_pairs))
 
     def __eq__(self, other):
@@ -384,10 +300,10 @@ class ParamScalar:
 
     def _constant_part(self):
         """(re, im) as Fractions when this value is a constant, else None."""
-        num, den = self._num, self._den
-        if len(den) != 1 or not num.keys() <= {_UNIT}:
+        num = self._num
+        if not num.keys() <= {_UNIT}:
             return None
-        d = den[_UNIT][0]
+        d = self._den[_UNIT][0]
         re, im = num.get(_UNIT, (0, 0))
         return Fraction(re, d), Fraction(im, d)
 
@@ -395,29 +311,21 @@ class ParamScalar:
 
     def conjugate(self) -> "ParamScalar":
         """Map I -> -I in every coefficient; lam and g are real and fixed."""
-        # the leading coefficient of the denominator is real, so the result
-        # is canonical as it stands
-        def conj(terms):
-            return {m: (x, -y) for m, (x, y) in terms.items()}
-        den = self._den
-        return _new(conj(self._num), den if len(den) == 1 else conj(den))
+        # the denominator is a positive integer, so the result is canonical
+        return _new({m: (x, -y) for m, (x, y) in self._num.items()}, self._den)
 
     def _parts(self):
-        """The classical canonical pair: numerator and monic denominator with
-        nonnegative exponents, each a list of ((e_lam, e_g), (re, im)) with
-        Fraction parts, in descending grlex order."""
-        num, den = self._num, self._den
-        lc = den[max(den, key=_grlex)][0]
+        """The classical pair: the numerator with nonnegative exponents, a
+        list of ((e_lam, e_g), (re, im)) with Fraction parts in descending
+        graded lexicographic order (lam > g), and the denominator monomial
+        (e_lam, e_g)."""
+        num, d = self._num, self._den[_UNIT][0]
         s_lam = max(0, -min((a for a, _ in num), default=0))
         s_g = max(0, -min((b for _, b in num), default=0))
-
-        def shifted(terms):
-            out = [((a + s_lam, b + s_g), (Fraction(x, lc), Fraction(y, lc)))
-                   for (a, b), (x, y) in terms.items()]
-            out.sort(key=lambda t: _grlex(t[0]), reverse=True)
-            return out
-
-        return shifted(num), shifted(den)
+        out = [((a + s_lam, b + s_g), (Fraction(x, d), Fraction(y, d)))
+               for (a, b), (x, y) in num.items()]
+        out.sort(key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
+        return out, (s_lam, s_g)
 
     def evaluate(self, lam0, g0) -> "ParamScalar":
         """Exact substitution lam -> lam0, g -> g0, each an int, a Fraction or
@@ -426,19 +334,15 @@ class ParamScalar:
         if any(v is None or v._constant_part() is None for v in point):
             raise TypeError(f"cannot evaluate at the non-constant point ({lam0!r}, {g0!r})")
         lam_v, g_v = point
-
-        def value(terms):
-            total = ZERO
-            for (a, b), (re, im) in terms:
-                total = total + (re + I * im) * lam_v ** a * g_v ** b
-            return total
-
-        num, den = self._parts()
-        den_v = value(den)
+        num, (s_lam, s_g) = self._parts()
+        den_v = lam_v ** s_lam * g_v ** s_g
         if not den_v:
             raise ZeroDivisionError(
                 f"pole: denominator vanishes at (lam, g) = ({lam0}, {g0})")
-        return value(num) / den_v
+        total = ZERO
+        for (a, b), (re, im) in num:
+            total = total + (re + I * im) * lam_v ** a * g_v ** b
+        return total / den_v
 
     def __repr__(self):
         return f"ParamScalar({self.render()!r})"
@@ -451,24 +355,19 @@ class ParamScalar:
 
         Round-trips through the CLI expression parser.
         """
-        num_terms, den_terms = self._parts()
+        num_terms, den_mono = self._parts()
         num = _render_poly(num_terms)
-        if den_terms[0][0] == _UNIT:
+        if den_mono == _UNIT:
             return num
-        den = _render_poly(den_terms)
+        den = _monom_str(den_mono)
         num_s = num if _is_atomic(num) and "/" not in num else f"({num})"
-        den_s = den if _is_atomic_factor(den) else f"({den})"
+        den_s = den if "*" not in den else f"({den})"
         return f"{num_s}/{den_s}"
 
 
 # the slots' own setters: they pass by the immutability guard of __setattr__
 _SET_NUM = ParamScalar._num.__set__
 _SET_DEN = ParamScalar._den.__set__
-
-
-def _via_field(op, a: ParamScalar, b: ParamScalar) -> ParamScalar:
-    """op(a, b) in sympy's fraction field: the route that needs a GCD."""
-    return ParamScalar._raw(op(a._frac(), b._frac()))
 
 
 def _monom_str(m) -> str:
@@ -522,10 +421,6 @@ def _scalar_atomic(s: str) -> bool:
 def _is_atomic(s: str) -> bool:
     """A single product term with no leading sign."""
     return _scalar_atomic(s) and not s.startswith("-")
-
-
-def _is_atomic_factor(s: str) -> bool:
-    return _is_atomic(s) and "*" not in s and "/" not in s
 
 
 def _as_scalar(x):

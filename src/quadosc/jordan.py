@@ -229,7 +229,7 @@ def build_state_direct(label: JordanLabel) -> AssociatedState:
 # Ladder actions on block members (normalization-free coefficients)
 # ---------------------------------------------------------------------------
 
-def _frac(num, den) -> ParamScalar:
+def _ratio(num, den) -> ParamScalar:
     return scalar(Fraction(num, den))
 
 
@@ -253,9 +253,9 @@ def ladder_apply(op_name: str, label: JordanLabel):
     out = []
     if op_name == "A+":
         _emit(out, k, n + 1, m, ONE / (scalar(4 * (n + 1) * (2 * n + 1)) * g * g))
-        _emit(out, k + 1, n - 1, m - 2, _frac(n, 2 * n + 1))
+        _emit(out, k + 1, n - 1, m - 2, _ratio(n, 2 * n + 1))
     elif op_name == "B+":
-        _emit(out, k, n + 1, m + 2, _frac((m + 1) * (m + 2), 2 * (n + 1) * (2 * n + 1)))
+        _emit(out, k, n + 1, m + 2, _ratio((m + 1) * (m + 2), 2 * (n + 1) * (2 * n + 1)))
         _emit(out, k + 1, n - 1, m,
               scalar(Fraction(2 * n * (2 * n - m - 1) * (2 * n - m), 2 * n + 1)) * g * g)
     elif op_name == "C+":
@@ -266,7 +266,7 @@ def ladder_apply(op_name: str, label: JordanLabel):
         _emit(out, k, n - 1, m - 2,
               -scalar(Fraction(2 * n * (2 * k + 2 * n + 1), 2 * n + 1)) * lam)
     elif op_name == "B-":
-        _emit(out, k - 1, n + 1, m + 1, _frac(2 * k * (m + 1), (n + 1) * (2 * n + 1)))
+        _emit(out, k - 1, n + 1, m + 1, _ratio(2 * k * (m + 1), (n + 1) * (2 * n + 1)))
         _emit(out, k - 1, n + 1, m + 2,
               -scalar(Fraction(2 * k * (m + 1) * (m + 2), (n + 1) * (2 * n + 1))) * lam)
         _emit(out, k, n - 1, m - 1,

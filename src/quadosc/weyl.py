@@ -313,20 +313,9 @@ class WeylOperator(SparseTerms):
 def _contract(terms1, terms2, expand, *args):
     """Sum over term pairs of ``c1*c2`` times ``expand(m1, m2, *args)``, the
     pair's normal-ordered expansion as (monomial, int weight) pairs, in
-    Gaussian integers over a common denominator: each output coefficient is
-    canonicalized once.  A non-monomial denominator (only a CLI division such
-    as ``H/(lam-g)`` makes one) takes ParamScalar arithmetic instead."""
+    Gaussian integers over the common denominator d1*d2 of the two operands'
+    integer denominators: each output coefficient is canonicalized once."""
     d1, d2 = _lcd(terms1.values()), _lcd(terms2.values())
-    if d1 is None or d2 is None:
-        out = {}
-        for m1, c1 in terms1.items():
-            for m2, c2 in terms2.items():
-                pairs = expand(m1, m2, *args)
-                c12 = c1 * c2 if pairs else None
-                for m, k in pairs:
-                    add = c12 if k == 1 else c12 * k
-                    out[m] = add if (cur := out.get(m)) is None else cur + add
-        return out
     acc = {}
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():

@@ -61,13 +61,30 @@ def test_commutator_renders_gaussian_and_field_coefficients(capsys):
     code, out, _ = run(capsys, "commutator", "(3/2 - I/5)*lam^2*g + I*z")
     assert code == 0
     assert out == "I*z + (3/2 - 1/5*I)*lam^2*g\n"
-    # a denominator that is not a monomial, which goes through sympy's field
-    code, out, _ = run(capsys, "commutator", "(lam^2-g^2)/(lam-g)*H - [A-, B+]/(I*lam+g)")
+    # coefficients over monomial denominators: H has a constant -3*lam and
+    # [A-, B+] = -2*lam, so the constant term is -3*(lam^2 - g^2) - 2*I/g
+    code, out, _ = run(capsys, "commutator", "(lam^2-g^2)/lam*H - [A-, B+]/(I*lam*g)")
     assert code == 0
     assert out == (
-        "(lam^3 + lam^2*g)*z*zb + (lam*g^2 + g^3)*zb^2 + (-4*lam^2*g - 4*lam*g^2)*zb*x3"
-        " + (lam^3 + lam^2*g)*x3^2 + (-4*lam - 4*g)*dz*dzb + (-lam - g)*d3^2"
-        " + (-3*lam^3 + (-3 + 3*I)*lam^2*g + 3*I*lam*g^2 + (-2*I)*lam)/(lam - I*g)\n")
+        "(lam^3 - lam*g^2)*z*zb + (lam^2*g^2 - g^4)/lam*zb^2 + (-4*lam^2*g + 4*g^3)*zb*x3"
+        " + (lam^3 - lam*g^2)*x3^2 + (-4*lam^2 + 4*g^2)/lam*dz*dzb + (-lam^2 + g^2)/lam*d3^2"
+        " + (-3*lam^2*g + 3*g^3 - 2*I)/g\n")
+
+
+_NOT_A_UNIT = "error: cannot divide by lam - g: not a unit times a monomial\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("commutator", "H/(lam-g)"), _NOT_A_UNIT),
+    (("commutator", "(lam^2-g^2)/(lam-g)*H - [A-, B+]/(I*lam+g)"), _NOT_A_UNIT),
+    (("inner", "(1/(lam - g))*B+", "A+"), _NOT_A_UNIT),
+    (("inner", "A+", "B+/(lam - g)"), _NOT_A_UNIT),
+    (("commutator", "H/0"), "error: division by zero (at position 0)\n"),
+])
+def test_bad_divisor_is_a_usage_error(capsys, argv, err):
+    # the coefficient ring is Q(i)[lam^±1, g^±1]: only a nonzero unit times
+    # a monomial has an inverse in it
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def _fresh_env():
@@ -78,36 +95,36 @@ def _fresh_env():
 
 
 def test_suites_never_import_sympy():
-    # sympy is loaded in this process already, so a fresh interpreter runs
-    # the calls; only a denominator that is not a monomial may import it.
-    # The same calls start no process pool, so they load no multiprocessing,
-    # and importing the CLI builds no parser.
+    # sympy is loaded in this process already, so a fresh interpreter, in
+    # which any import of sympy fails, runs the calls; a divisor that is not
+    # a monomial is a usage error, not a route into a fraction field.  The
+    # same calls start no process pool, so they load no multiprocessing, and
+    # importing the CLI builds no parser.
     script = textwrap.dedent("""
         import contextlib, io, sys
+        sys.modules["sympy"] = None
         from quadosc.cli import build_parser, main
         assert build_parser.cache_info().currsize == 0, "parser built at import"
         with contextlib.redirect_stdout(io.StringIO()):
-            main(["verify", "--suite", "sp6"])
-            main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"])
-            main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1"])
-            main(["verify", "--suite", "uvw", "--max-n", "1"])
-            main(["commutator", "[A+,B-]"])
-            main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"])
-            main(["inner", "A+*B+", "C+^2"])
-            main(["inner", "(A+*B+)^2 + 3*C+^4", "2*B+^2*A+*I*A+"])
-        assert "sympy" not in sys.modules, "sympy imported"
+            assert main(["verify", "--suite", "sp6"]) == 0
+            assert main(["verify", "--suite", "jordan", "--max-k", "1", "--max-n", "1"]) == 0
+            # 1: the documented red record
+            assert main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1"]) == 1
+            assert main(["verify", "--suite", "uvw", "--max-n", "1"]) == 0
+            assert main(["commutator", "[A+,B-]"]) == 0
+            assert main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"]) == 0
+            assert main(["inner", "A+*B+", "C+^2"]) == 0
+            assert main(["inner", "(A+*B+)^2 + 3*C+^4", "2*B+^2*A+*I*A+"]) == 0
         for name in ("concurrent.futures", "multiprocessing"):
             assert name not in sys.modules, name + " imported"
-        main(["commutator", "H/(lam-g)"])
-        assert "sympy" in sys.modules, "sympy not imported"
+        sys.exit(main(["commutator", "H/(lam-g)"]))
     """)
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == (
-        "lam^2/(lam - g)*z*zb + g^2/(lam - g)*zb^2 + (-4*lam*g)/(lam - g)*zb*x3"
-        " + lam^2/(lam - g)*x3^2 + (-4)/(lam - g)*dz*dzb + (-1)/(lam - g)*d3^2"
-        " + (-3*lam)/(lam - g)")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    # the whole of stderr: the divisor named, and no traceback
+    assert proc.stderr == "error: cannot divide by lam - g: not a unit times a monomial\n"
 
 
 def test_python_m_runs_the_cli():

@@ -143,7 +143,8 @@ def test_scalar_render_round_trip():
     values = [
         ONE / (2 * LAM),
         scalar(Fraction(3, 2)) * LAM ** 2 * G - I * G ** 3,
-        (LAM ** 2 - G ** 2) / (LAM - G),
+        I / (2 * LAM) + G,
+        (LAM ** 2 - G ** 2) / (LAM * G ** 3),
         (ONE + I) / (LAM * G ** 2),
         -LAM ** 3 / (scalar(48)),
     ]

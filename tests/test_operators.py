@@ -187,11 +187,12 @@ def test_span_solver_rejects_outsiders():
 @given(st.dictionaries(
     st.integers(0, 21),
     st.sampled_from([ONE, -I, scalar(3) / 4 - I / 2, I / (2 * LAM), G / (3 * LAM ** 2),
-                     LAM * G, ONE / (LAM - G)]),
+                     LAM * G, I / (2 * LAM) + G]),
     min_size=1, max_size=3))
 def test_express_in_span_recovers_known_coefficients(picks):
-    # a combination of the 22 spanning elements, over monomial and
-    # non-monomial denominators, gives back its own coefficients
+    # a combination of the 22 spanning elements, with Gaussian, monomial and
+    # two-term coefficients over monomial denominators, gives back its own
+    # coefficients
     basis = ops._span_basis()
     target = sum((basis[i][1].scale(c) for i, c in picks.items()), ops.SqrtTwoLamOperator())
     assert ops.express_in_span(target) == {basis[i][0]: c for i, c in picks.items()}

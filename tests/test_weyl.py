@@ -85,11 +85,11 @@ def test_eta_apply_involution():
 
 
 def small_scalars():
-    # Gaussian rationals, negative powers and a non-monomial denominator, so
-    # that products and brackets take both of the kernel's paths
+    # Gaussian rationals, negative powers and a sum over a monomial
+    # denominator, so that the kernel's common denominators differ
     return st.sampled_from([ONE, -ONE, LAM, G, I, LAM * G, ONE + G, scalar(2),
                             scalar(3) / 4 - I / 2, I / (2 * LAM), G / (3 * LAM ** 2),
-                            ONE / (LAM - G)])
+                            I / (2 * LAM) + G])
 
 
 def monomials(top=1):
@@ -257,8 +257,9 @@ def contract_oracle(a, b, expand, *args):
 @given(operators(), operators())
 def test_contract_matches_scalar_arithmetic(a, b):
     # integer sums over a common denominator against ParamScalar operators;
-    # scaled by 1/(lam-g), an operand takes the kernel's ParamScalar path
-    for x in (a, a.scale(ONE / (LAM - G))):
+    # scaled by I/(2*lam) + g, every coefficient of an operand has a
+    # denominator and two terms
+    for x in (a, a.scale(I / (2 * LAM) + G)):
         for expand, args in ((weyl._reorder, ()), (weyl._bracket_terms, (-1,)),
                              (weyl._bracket_terms, (1,))):
             got = weyl._contract(x.terms, b.terms, expand, *args)
