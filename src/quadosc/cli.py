@@ -9,6 +9,7 @@ pass --timing to embed measured per-identity wall times.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -109,15 +110,24 @@ def _cmd_verify(args) -> int:
         try:
             report.write_json(args.json, timing=args.timing)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot write report: {exc}") from exc
         print(f"report written to {args.json}")
     return report.exit_code
 
 
+@contextlib.contextmanager
+def _writing(path, **open_args):
+    """``path`` opened for writing; an OSError is a usage error."""
+    try:
+        with open(path, "w", **open_args) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_table(rows, header, csv_path):
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+        with _writing(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -168,12 +178,7 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_state(args) -> int:
-    try:
-        label = JordanLabel(args.k, args.n, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    state = _jordan.build_state(label)
+    state = _jordan.build_state(JordanLabel(args.k, args.n, args.m))
     if args.json:
         print(json.dumps(state.to_json(), indent=2, sort_keys=True))
         return 0
@@ -187,12 +192,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
-    try:
-        op = _expr.evaluate(args.expr)
-    except _expr.ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(op.render())
+    print(_expr.evaluate(args.expr).render())
     return 0
 
 
@@ -232,36 +232,25 @@ def _creation_from_expr(text):
 
 
 def _cmd_inner(args) -> int:
-    try:
-        bra = _creation_from_expr(args.bra)
-        ket = _creation_from_expr(args.ket)
-    except _expr.ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bra, ket = _creation_from_expr(args.bra), _creation_from_expr(args.ket)
     print(_fock.wick_inner(bra, ket).render())
     return 0
 
 
 def _cmd_report(args) -> int:
     if not args.merge:
-        print("error: only --merge is supported", file=sys.stderr)
-        return 2
+        raise ValueError("only --merge is supported")
     docs = []
     for path in args.inputs:
         try:
             with open(path) as fh:
                 docs.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot read {path}: {exc}") from exc
     merged = merge_reports(docs)
-    try:
-        with open(args.out, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    with _writing(args.out) as fh:
+        json.dump(merged, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"merged {len(args.inputs)} reports into {args.out}"
           f" ({merged['summary']['total']} records,"
           f" {merged['summary']['failed']} failed)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, I, ONE, scalar
-from .weyl import (WeylOperator, SPACE_ZZB, SPACE_UVW, variable, derivative,
+from .weyl import (WeylOperator, SPACE_ZZB, SPACE_UVW, _NAMES, variable, derivative,
                    identity_op)
 from . import operators as _ops
 
@@ -101,18 +101,11 @@ def _tokenize(text: str):
 
 # -- Parser -----------------------------------------------------------------
 
-# the names the parser knows: the generators of the two spaces, the scalar
-# names and the catalogue's unsigned names
-_GENERATORS = {
-    "z": (SPACE_ZZB, variable, 0), "zb": (SPACE_ZZB, variable, 1),
-    "x3": (SPACE_ZZB, variable, 2),
-    "dz": (SPACE_ZZB, derivative, 0), "dzb": (SPACE_ZZB, derivative, 1),
-    "d3": (SPACE_ZZB, derivative, 2),
-    "u": (SPACE_UVW, variable, 0), "v": (SPACE_UVW, variable, 1),
-    "w": (SPACE_UVW, variable, 2),
-    "du": (SPACE_UVW, derivative, 0), "dv": (SPACE_UVW, derivative, 1),
-    "dw": (SPACE_UVW, derivative, 2),
-}
+# the names the parser knows: the generators of the two spaces, each as its
+# (space, index) in weyl's table, the scalar names and the catalogue's
+# unsigned names
+_GENERATORS = {name: (space, i) for space in (SPACE_ZZB, SPACE_UVW)
+               for i, name in enumerate(_NAMES[space])}
 _SCALARS = {"lam": LAM, "g": G, "I": I}
 _PLAIN_NAMES = (
     {"H", "R", "S", "T", "U", "V", "W", "X", "Y", "Z", "Rt1"}
@@ -304,8 +297,8 @@ def _evaluate(node: Node):
             from .jordan import d_p
             return d_p(node.arg)
         if nm in _GENERATORS:
-            space, build, idx = _GENERATORS[nm]
-            return build(idx, space)
+            space, i = _GENERATORS[nm]
+            return variable(i, space) if i < 3 else derivative(i - 3, space)
         return _ops.op(nm)
     if node.kind == "neg":
         return -_evaluate(node.children[0])

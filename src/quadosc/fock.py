@@ -268,19 +268,10 @@ def _word_state(word) -> GaussianState:
     return ground_state()
 
 
-@lru_cache(maxsize=None)
-def _word_uvw_poly(word) -> Poly3:
-    """Exact wavefunction of a single creation word, in (u, v, w); not a
-    plain monomial, since repeated letters carry lower-degree corrections."""
-    return zzb_poly_to_uvw(_word_state(word).poly)
-
-
 def creation_to_uvw(p: CreationPolynomial) -> Poly3:
-    """Exact wavefunction of a creation polynomial in the (u, v, w) variables."""
-    out = {}
-    for word, c in p.terms.items():
-        _add_into(out, _word_uvw_poly(word).terms, c)
-    return Poly3(out, SPACE_UVW)
+    """Exact wavefunction of a creation polynomial in the (u, v, w) variables:
+    the change of variables of its zzb wavefunction."""
+    return zzb_poly_to_uvw(to_gaussian_state(p).poly)
 
 
 def uvw_to_creation(p: Poly3) -> CreationPolynomial:
@@ -374,18 +365,13 @@ def _cofactor(M, i, j):
     return det2 if (i + j) % 2 == 0 else -det2
 
 
-_MOMENT_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _moment(e) -> ParamScalar:
     """Formal Gaussian moment <x1^e1 x2^e2 x3^e3> by Wick pairing."""
     if sum(e) == 0:
         return ONE
     if sum(e) % 2:
         return ZERO
-    hit = _MOMENT_CACHE.get(e)
-    if hit is not None:
-        return hit
     cov = _covariance()
     i = next(k for k in range(3) if e[k])
     total = ZERO
@@ -397,7 +383,6 @@ def _moment(e) -> ParamScalar:
             rest = list(base)
             rest[j] -= 1
             total = total + cov[i][j] * mult * _moment(tuple(rest))
-    _MOMENT_CACHE[e] = total
     return total
 
 

@@ -77,7 +77,8 @@ class AssociatedState:
     creation: CreationPolynomial
 
     def uvw_poly(self) -> Poly3:
-        return _fock.creation_to_uvw(self.creation)
+        """The wavefunction in (u, v, w): the change of variables of the zzb one."""
+        return _fock.zzb_poly_to_uvw(self._zzb.poly)
 
     @cached_property
     def _zzb(self) -> GaussianState:

@@ -332,8 +332,8 @@ def _contract(terms1, terms2, expand, *args):
     return {m: _laurent(sums, d1 * d2) for m, sums in acc.items() if sums}
 
 
+# a dict, not lru_cache: the benchmark's tracer reads its size as the miss count
 _REORDER_CACHE = {}
-_BRACKET_CACHE = {}
 
 
 def _reorder(m1, m2):
@@ -362,20 +362,15 @@ def _reorder(m1, m2):
     return out
 
 
+@lru_cache(maxsize=None)
 def _bracket_terms(m1, m2, sign):
     """Expansion of (m1*m2 + sign*m2*m1) in normal order: :func:`_reorder`'s
     two lists with their weights merged and the zeros dropped.  For sign -1
     the uncontracted (j = 0) terms cancel, so a commuting pair expands to []."""
-    key = (m1, m2, sign)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is not None:
-        return hit
     merged = dict(_reorder(m1, m2))
     for m, w in _reorder(m2, m1):
         merged[m] = merged.get(m, 0) + sign * w
-    out = [(m, w) for m, w in merged.items() if w]
-    _BRACKET_CACHE[key] = out
-    return out
+    return [(m, w) for m, w in merged.items() if w]
 
 
 def identity_op(space=SPACE_ZZB) -> WeylOperator:

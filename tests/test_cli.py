@@ -251,6 +251,23 @@ def test_tabulate_csv(tmp_path, capsys):
     assert any(line.startswith("1,0,0,1,-2*g") for line in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "ladder", "--json", "{missing}/r.json"],
+    ["tabulate", "--what", "N", "--csv", "{missing}/t.csv"],
+    ["report", "--merge", "--out", "{missing}/m.json", "{report}"],
+])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, argv):
+    report = tmp_path / "r.json"
+    VerificationReport("custom").write_json(str(report))
+    argv = [a.format(missing=tmp_path / "missing", report=report) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "quadosc", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 def test_verify_single_suite_and_schema(tmp_path, capsys):
     path = tmp_path / "ladder.json"
     code, out, _ = run(capsys, "verify", "--suite", "ladder", "--json", str(path))

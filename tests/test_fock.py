@@ -253,7 +253,7 @@ def test_word_uvw_polys_match_the_raising_letters_in_the_uvw_picture():
                 for axis in (2, 1, 0):
                     for _ in range(word[axis]):
                         p = raising[axis].apply_poly(p)
-                assert fock._word_uvw_poly(word) == p, word
+                assert fock.creation_to_uvw(CreationPolynomial.word(*word)) == p, word
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,7 +275,7 @@ def uvw_peeling(p):
         c = coeff / (minus_2lam ** i * two ** l)
         cur = out.get(mono)
         out[mono] = c if cur is None else cur + c
-        residue = residue - fock._word_uvw_poly(mono).scale(c)
+        residue = residue - fock.creation_to_uvw(CreationPolynomial.word(*mono)).scale(c)
     return CreationPolynomial(out)
 
 

@@ -169,6 +169,20 @@ def test_dp_realization_and_action():
     assert stepped == J.build_state(lbl_next).uvw_poly()
 
 
+def test_state_uvw_forms_match_the_per_word_sum():
+    # the (u, v, w) form of a block member, the change of variables of its
+    # zzb wavefunction, against the route it replaced: each creation word's
+    # zzb state carried over on its own, summed with the word's coefficient
+    for k in range(4):
+        for n in range(4 - k):
+            for m in range(2 * n + 1):
+                state = J.build_state(JordanLabel(k, n, m))
+                want = Poly3({}, SPACE_UVW)
+                for word, c in state.creation.terms.items():
+                    want = want + fock.zzb_poly_to_uvw(fock._word_state(word).poly).scale(c)
+                assert state.uvw_poly() == want, (k, n, m)
+
+
 def test_uvw_round_trip():
     # identity on polynomials up to degree 8 under the linear variable change
     terms = {}

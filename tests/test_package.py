@@ -1,4 +1,5 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and memo tables are
+``lru_cache``s."""
 
 import importlib
 import pkgutil
@@ -15,3 +16,25 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+
+
+# weyl._reorder keeps a dict because the benchmark's tracer reads its size as
+# the reorder miss count; every other memo table is an lru_cache
+DICT_CACHES = {("quadosc.weyl", "_REORDER_CACHE")}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_memo_tables_are_lru_caches(name):
+    module = importlib.import_module(name)
+    dicts = {(name, attr) for attr, value in vars(module).items()
+             if attr.endswith("_CACHE") and isinstance(value, dict)}
+    assert dicts <= DICT_CACHES, f"hand-rolled memo dicts: {sorted(dicts - DICT_CACHES)}"
+
+
+def test_a_repeated_commutator_hits_the_bracket_cache():
+    from quadosc import weyl
+    from quadosc.operators import op
+    first = op("H").commutator(op("A+"))
+    hits = weyl._bracket_terms.cache_info().hits
+    assert op("H").commutator(op("A+")) == first
+    assert weyl._bracket_terms.cache_info().hits > hits
