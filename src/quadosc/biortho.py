@@ -165,7 +165,7 @@ def orthogonalize(k: int, n: int) -> PhiTransform:
 # Suites
 # ---------------------------------------------------------------------------
 
-def verify_normalization(max_k: int = 4, max_n: int = 4) -> list:
+def verify_normalization(max_k: int, max_n: int) -> list:
     """Mirror pairings equal N(k, n) for every member; the closed form
     reduces correctly on the two boundary families."""
     out = []
@@ -212,7 +212,7 @@ def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
     return sign * wick_inner(bra, ket)
 
 
-def verify_T_vanishing(max_k: int = 4, max_n: int = 4) -> list:
+def verify_T_vanishing(max_k: int, max_n: int) -> list:
     out = []
     for k, n in _blocks(max_k, max_n):
         if k >= 2:
@@ -227,7 +227,7 @@ def verify_T_vanishing(max_k: int = 4, max_n: int = 4) -> list:
     return out
 
 
-def verify_q_identities(k_max: int = 3, n_max: int = 3) -> list:
+def verify_q_identities(k_max: int, n_max: int) -> list:
     """Bracket identities for powers of the double-step operator and the
     letter actions on its powers applied to the ground state."""
     cat = _ops.catalogue()
@@ -280,7 +280,7 @@ def verify_q_identities(k_max: int = 3, n_max: int = 3) -> list:
     return out
 
 
-def verify_gram_blocks(max_k: int = 4, max_n: int = 4) -> list:
+def verify_gram_blocks(max_k: int, max_n: int) -> list:
     """Hankel structure, zero pattern, anti-diagonal value, and the
     self-orthogonality of the chain top."""
     out = []
@@ -298,7 +298,7 @@ def verify_gram_blocks(max_k: int = 4, max_n: int = 4) -> list:
     return out
 
 
-def verify_orthogonalization(max_k: int = 3, max_n: int = 3) -> list:
+def verify_orthogonalization(max_k: int, max_n: int) -> list:
     """The transform t(H - E) yields the exact anti-diagonal pattern."""
     out = []
     for k, n in _blocks(max_k, max_n):
@@ -368,7 +368,7 @@ def verify_adjoint_rules() -> list:
     return out
 
 
-def verify_cross_block_orthogonality(max_k: int = 2, max_n: int = 2) -> list:
+def verify_cross_block_orthogonality(max_k: int, max_n: int) -> list:
     """Members of distinct blocks pair to zero, including at the degenerate
     energy where two different blocks share an eigenvalue."""
     out = []
@@ -400,7 +400,7 @@ def verify_cross_block_orthogonality(max_k: int = 2, max_n: int = 2) -> list:
     return out
 
 
-def verify_oracle_agreement(max_total: int = 6) -> list:
+def verify_oracle_agreement(max_total: int) -> list:
     """The contraction-permanent engine agrees with the Gaussian-moment
     engine on every creation-word pair of combined degree <= max_total."""
     words = [(i, j, l)

@@ -26,9 +26,6 @@ from .jordan import JordanLabel
 from .report import VerificationReport, merge_reports
 from .weyl import ground_state
 
-SUITES = ("ladder", "algebra", "gl3", "boson", "sp6", "integrals",
-          "jordan", "uvw", "biortho")
-
 # Bounds that some sub-suites keep whatever --max-k and --max-n ask for.
 # Changing one changes the records, so it moves the report's digest.
 STRUCTURE_CAP = 3        # q identities, orthogonalization, auxiliary relations, uvw
@@ -37,50 +34,42 @@ ORACLE_MAX_TOTAL = 4     # combined word degree of the two pairing engines' agre
 RECURSION_MIN_N = 6      # the coefficient recursions check n up to at least this
 AUXILIARY_MAX_P = 4      # powers of the raising letters in the auxiliary relations
 
+# Each suite's sub-suites, called at the CLI bounds (max_k, max_n) in report
+# order; each returns its list of records.
+_SUITES = {
+    "ladder": lambda k, n: [_ops.verify_ladder_relations(), _ops.verify_q_factorization()],
+    "algebra": lambda k, n: [_ops.verify_nine_dim_algebra()],
+    "gl3": lambda k, n: [_ops.verify_gl3()],
+    "boson": lambda k, n: [_ops.verify_boson_layer()],
+    "sp6": lambda k, n: [_ops.verify_sp6_osp16_closure()],
+    "integrals": lambda k, n: [_ops.verify_integrals_cubic_algebra()],
+    "jordan": lambda k, n: [
+        _jordan.verify_jordan_layer(k, n),
+        _jordan.verify_coefficient_recursions(max(RECURSION_MIN_N, n)),
+        _jordan.verify_auxiliary_relations(min(n, STRUCTURE_CAP), AUXILIARY_MAX_P),
+        _jordan.verify_ladder_actions(k, n),
+        _jordan.verify_special_actions(k, n)],
+    "uvw": lambda k, n: [_jordan.verify_uvw_layer(min(n, STRUCTURE_CAP))],
+    "biortho": lambda k, n: [
+        _biortho.verify_normalization(k, n),
+        _biortho.verify_T_vanishing(k, n),
+        _biortho.verify_q_identities(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
+        _biortho.verify_gram_blocks(k, n),
+        _biortho.verify_orthogonalization(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
+        _biortho.verify_reference_phi_blocks(),
+        _biortho.verify_adjoint_rules(),
+        _biortho.verify_cross_block_orthogonality(min(k, CROSS_BLOCK_CAP),
+                                                  min(n, CROSS_BLOCK_CAP)),
+        _biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)],
+}
+SUITES = tuple(_SUITES)
+
 
 def _run_suite(args):
-    """Top-level worker so suite fan-out can cross process boundaries."""
+    """Top-level worker so suite fan-out can cross process boundaries: the
+    records of suite ``name``, one (name, records) pair per sub-suite."""
     name, max_k, max_n = args
-    out = []
-    if name == "ladder":
-        out.append(("ladder", _ops.verify_ladder_relations()))
-        out.append(("ladder", _ops.verify_q_factorization()))
-    elif name == "algebra":
-        out.append(("algebra", _ops.verify_nine_dim_algebra()))
-    elif name == "gl3":
-        out.append(("gl3", _ops.verify_gl3()))
-    elif name == "boson":
-        out.append(("boson", _ops.verify_boson_layer()))
-    elif name == "sp6":
-        out.append(("sp6", _ops.verify_sp6_osp16_closure()))
-    elif name == "integrals":
-        out.append(("integrals", _ops.verify_integrals_cubic_algebra()))
-    elif name == "jordan":
-        out.append(("jordan", _jordan.verify_jordan_layer(max_k, max_n)))
-        out.append(("jordan", _jordan.verify_coefficient_recursions(
-            max(RECURSION_MIN_N, max_n))))
-        out.append(("jordan", _jordan.verify_auxiliary_relations(
-            min(max_n, STRUCTURE_CAP), AUXILIARY_MAX_P)))
-        out.append(("jordan", _jordan.verify_ladder_actions(max_k, max_n)))
-        out.append(("jordan", _jordan.verify_special_actions(max_k, max_n)))
-    elif name == "uvw":
-        out.append(("uvw", _jordan.verify_uvw_layer(min(max_n, STRUCTURE_CAP))))
-    elif name == "biortho":
-        out.append(("biortho", _biortho.verify_normalization(max_k, max_n)))
-        out.append(("biortho", _biortho.verify_T_vanishing(max_k, max_n)))
-        out.append(("biortho", _biortho.verify_q_identities(
-            min(max_k, STRUCTURE_CAP), min(max_n, STRUCTURE_CAP))))
-        out.append(("biortho", _biortho.verify_gram_blocks(max_k, max_n)))
-        out.append(("biortho", _biortho.verify_orthogonalization(
-            min(max_k, STRUCTURE_CAP), min(max_n, STRUCTURE_CAP))))
-        out.append(("biortho", _biortho.verify_reference_phi_blocks()))
-        out.append(("biortho", _biortho.verify_adjoint_rules()))
-        out.append(("biortho", _biortho.verify_cross_block_orthogonality(
-            min(max_k, CROSS_BLOCK_CAP), min(max_n, CROSS_BLOCK_CAP))))
-        out.append(("biortho", _biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)))
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    return out
+    return [(name, records) for records in _SUITES[name](max_k, max_n)]
 
 
 def _cmd_verify(args) -> int:

@@ -20,7 +20,7 @@ tokens: the sign binds to the letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, I, ONE, scalar
@@ -49,10 +49,9 @@ class Node:
     name: str = ""
     value: Fraction = Fraction(0)
     arg: int = -1           # parameter of a parametric name, -1 otherwise
-
-
-def _name_node(name, arg=-1):
-    return Node("name", name=name, arg=arg)
+    # where the node's text starts, for error messages; equal trees parsed
+    # from different texts stay equal
+    pos: int = field(default=0, compare=False)
 
 
 # -- Lexer ------------------------------------------------------------------
@@ -115,6 +114,11 @@ _PLAIN_NAMES = (
 )
 
 
+def _shown(tok) -> str:
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "end" else f"token {tok[1]!r}"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -126,7 +130,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ExprError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         self.pos += 1
         return tok
 
@@ -140,15 +144,17 @@ class _Parser:
     def expr(self) -> Node:
         parts = []
         if self.peek()[0] == "-":
-            self.take()
-            parts.append(Node("neg", (self.term(),)))
+            pos = self.take()[2]
+            parts.append(Node("neg", (self.term(),), pos=pos))
         else:
             parts.append(self.term())
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            parts.append(Node("neg", (rhs,)) if op == "-" else rhs)
-        return parts[0] if len(parts) == 1 else Node("sum", tuple(parts))
+            parts.append(Node("neg", (rhs,), pos=rhs.pos) if op == "-" else rhs)
+        if len(parts) == 1:
+            return parts[0]
+        return Node("sum", tuple(parts), pos=parts[0].pos)
 
     def term(self) -> Node:
         node = self.factor()
@@ -157,11 +163,11 @@ class _Parser:
             rhs = self.factor()
             if op == "*":
                 if node.kind == "product":
-                    node = Node("product", node.children + (rhs,))
+                    node = Node("product", node.children + (rhs,), pos=node.pos)
                 else:
-                    node = Node("product", (node, rhs))
+                    node = Node("product", (node, rhs), pos=node.pos)
             else:
-                node = Node("div", (node, rhs))
+                node = Node("div", (node, rhs), pos=node.pos)
         return node
 
     def factor(self) -> Node:
@@ -169,7 +175,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             tok = self.take("uint")
-            node = Node("power", (node,), value=Fraction(tok[1]))
+            node = Node("power", (node,), value=Fraction(tok[1]), pos=node.pos)
         return node
 
     def atom(self) -> Node:
@@ -177,19 +183,19 @@ class _Parser:
         kind, val, pos = tok
         if kind == "uint":
             self.take()
-            return Node("scalar", value=Fraction(val))
+            return Node("scalar", value=Fraction(val), pos=pos)
         if kind == "name":
             self.take()
-            return _name_node(val)
+            return Node("name", name=val, pos=pos)
         if kind == "word":
             self.take()
             if val == "Dp":
                 self.take("(")
                 p = self.take("uint")[1]
                 self.take(")")
-                return _name_node("Dp", arg=p)
+                return Node("name", name="Dp", arg=p, pos=pos)
             if val in _PLAIN_NAMES or val in _SCALARS:
-                return _name_node(val)
+                return Node("name", name=val, pos=pos)
             raise ExprError(f"unknown name {val!r}", pos)
         if kind == "(":
             self.take()
@@ -202,15 +208,15 @@ class _Parser:
             self.take(",")
             rhs = self.expr()
             self.take("]")
-            return Node("bracket", (lhs, rhs))
+            return Node("bracket", (lhs, rhs), pos=pos)
         if kind == "{":
             self.take()
             lhs = self.expr()
             self.take(",")
             rhs = self.expr()
             self.take("}")
-            return Node("antibracket", (lhs, rhs))
-        raise ExprError(f"unexpected token {val!r}", pos)
+            return Node("antibracket", (lhs, rhs), pos=pos)
+        raise ExprError(f"unexpected {_shown(tok)}", pos)
 
 
 def parse(text: str) -> Node:
@@ -275,12 +281,12 @@ def _as_op(value, space=SPACE_ZZB) -> WeylOperator:
     return value if isinstance(value, WeylOperator) else identity_op(space).scale(value)
 
 
-def _common_space(a, b):
+def _common_space(a, b, pos):
     """The space of the operators among ``a`` and ``b`` (the model space when
-    both are scalars); two different spaces are an error."""
+    both are scalars); two different spaces are an error at ``pos``."""
     spaces = {v.space for v in (a, b) if isinstance(v, WeylOperator)}
     if len(spaces) > 1:
-        raise ExprError("operator spaces differ in one expression", 0)
+        raise ExprError("operator spaces differ in one expression", pos)
     return spaces.pop() if spaces else SPACE_ZZB
 
 
@@ -306,7 +312,7 @@ def _evaluate(node: Node):
         acc = _evaluate(node.children[0])
         for ch in node.children[1:]:
             term = _evaluate(ch)
-            _common_space(acc, term)
+            _common_space(acc, term, ch.pos)
             acc = acc + term
         return acc
     if node.kind == "product":
@@ -315,19 +321,19 @@ def _evaluate(node: Node):
             acc = acc * _evaluate(ch)
         return acc
     if node.kind == "div":
-        a = _evaluate(node.children[0])
-        b = _evaluate(node.children[1])
+        dividend, divisor = node.children
+        a, b = _evaluate(dividend), _evaluate(divisor)
         if not isinstance(b, ParamScalar):
-            raise ExprError("division requires a scalar divisor", 0)
+            raise ExprError("division requires a scalar divisor", divisor.pos)
         if b.is_zero():
-            raise ExprError("division by zero", 0)
+            raise ExprError("division by zero", divisor.pos)
         return a / b if isinstance(a, ParamScalar) else a.scale(ONE / b)
     if node.kind == "power":
         return _evaluate(node.children[0]) ** int(node.value)
     if node.kind in ("bracket", "antibracket"):
-        a = _evaluate(node.children[0])
-        b = _evaluate(node.children[1])
-        space = _common_space(a, b)
+        lhs, rhs = node.children
+        a, b = _evaluate(lhs), _evaluate(rhs)
+        space = _common_space(a, b, rhs.pos)
         a, b = _as_op(a, space), _as_op(b, space)
         return a.commutator(b) if node.kind == "bracket" else a.anticommutator(b)
     raise ValueError(f"unknown node kind {node.kind!r}")
@@ -345,5 +351,5 @@ def evaluate_scalar(text_or_node) -> ParamScalar:
     node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
     val = _evaluate(node)
     if not isinstance(val, ParamScalar):
-        raise ExprError("expected a scalar expression", 0)
+        raise ExprError("expected a scalar expression", node.pos)
     return val

@@ -299,7 +299,6 @@ def _peeling_order(degree):
     return sorted(monos, key=lambda m: (sum(m), m[0], m[2]), reverse=True)
 
 
-@lru_cache(maxsize=None)
 def _leading_coeff(i, j, l):
     """The coefficient of z^j zb^i x3^l in the state of the word (i, j, l)."""
     return (scalar(-2) * LAM) ** (i + l) * (-LAM) ** j

@@ -425,7 +425,7 @@ def _labels(max_k: int, max_n: int):
             yield JordanLabel(k, n, m)
 
 
-def verify_jordan_layer(max_k: int = 4, max_n: int = 4) -> list:
+def verify_jordan_layer(max_k: int, max_n: int) -> list:
     """Chain relation, closed-form/direct equality, block dimension, and the
     Casimir eigenvalue on every member within the index caps."""
     out = []
@@ -462,7 +462,7 @@ def verify_jordan_layer(max_k: int = 4, max_n: int = 4) -> list:
     return out
 
 
-def verify_coefficient_recursions(n_max: int = 8) -> list:
+def verify_coefficient_recursions(n_max: int) -> list:
     """The closed forms satisfy all four recursion families exactly."""
     out = []
     for n in range(1, n_max + 1):
@@ -491,7 +491,7 @@ def verify_coefficient_recursions(n_max: int = 8) -> list:
     return out
 
 
-def verify_auxiliary_relations(n_max: int = 3, p_max: int = 4) -> list:
+def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
     """Shift relations for powers of the three raising letters.
 
     The correction term for the second letter is -2*p*g*(B+)^(p-1)*C+;
@@ -536,41 +536,41 @@ def _expansion_state(terms) -> GaussianState:
     return acc
 
 
-def verify_ladder_actions(max_k: int = 3, max_n: int = 3) -> list:
-    """Claimed expansions of the six letters equal direct application for
-    every label with k + n <= max_sum, all m."""
+def _action_records(max_k: int, max_n: int, kind: str, anchor: str, op_names,
+                    expansions) -> list:
+    """Each catalogue operator of ``op_names`` applied to every member with
+    label in ``_labels(max_k, max_n)``, against the claimed expansion
+    ``expansions(label)[op_name]``, taken once per label."""
     cat = _ops.catalogue()
     out = []
     for label in _labels(max_k, max_n):
         st_gauss = build_state(label).gaussian()
-        for op_name in ("A+", "B+", "C+", "A-", "B-", "C-"):
-            direct = cat[op_name].apply(st_gauss)
-            claimed = _expansion_state(ladder_apply(op_name, label))
+        claimed = expansions(label)
+        for op_name in op_names:
             out.append(record(
-                f"jordan/ladder-{op_name}-{label.k}-{label.n}-{label.m}",
-                "ladder action on block members", direct, claimed))
+                f"jordan/{kind}-{op_name}-{label.k}-{label.n}-{label.m}", anchor,
+                cat[op_name].apply(st_gauss), _expansion_state(claimed[op_name])))
     return out
 
 
-def verify_special_actions(max_k: int = 3, max_n: int = 3) -> list:
+def verify_ladder_actions(max_k: int, max_n: int) -> list:
+    """Claimed expansions of the six letters equal direct application on
+    every member of the blocks within the bounds."""
+    letters = ("A+", "B+", "C+", "A-", "B-", "C-")
+    return _action_records(
+        max_k, max_n, "ladder", "ladder action on block members", letters,
+        lambda label: {op_name: ladder_apply(op_name, label) for op_name in letters})
+
+
+def verify_special_actions(max_k: int, max_n: int) -> list:
     """H, the two commuting integrals in the Casimir combination, and the
     Casimir eigenvalue, against direct application."""
-    cat = _ops.catalogue()
-    out = []
-    for label in _labels(max_k, max_n):
-        st_gauss = build_state(label).gaussian()
-        acts = special_operator_actions(label)
-        for op_name in ("H", "R", "V"):
-            direct = cat[op_name].apply(st_gauss)
-            claimed = _expansion_state(acts[op_name])
-            out.append(record(
-                f"jordan/special-{op_name}-{label.k}-{label.n}-{label.m}",
-                "distinguished operator action on block members",
-                direct, claimed))
-    return out
+    return _action_records(
+        max_k, max_n, "special", "distinguished operator action on block members",
+        ("H", "R", "V"), special_operator_actions)
 
 
-def verify_uvw_layer(n_max: int = 3) -> list:
+def verify_uvw_layer(n_max: int) -> list:
     """The transformed-variable layer: the shift-operator realization, its
     monomial actions, the falling-factorial recursion, the polynomial tables,
     and the expansion of the lower-lattice block members."""

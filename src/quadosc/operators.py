@@ -72,7 +72,6 @@ def check(ident: str, anchor: str, ok: bool, residual, note: str = "",
 # Catalogue
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _hamiltonian() -> WeylOperator:
     # -4 dz dzb - d3^2 + lam^2 (z zb + x3^2) + g^2 zb^2 - 4 lam g zb x3 - 3 lam
     return (

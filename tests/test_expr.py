@@ -94,6 +94,33 @@ def test_errors_carry_position():
         E.evaluate("H / 0")
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("1/0", "division by zero", 2),
+    ("H/z", "division requires a scalar divisor", 2),
+    ("[H,u]", "operator spaces differ in one expression", 3),
+    ("z + u", "operator spaces differ in one expression", 4),
+    ("z - 2*u", "operator spaces differ in one expression", 4),
+])
+def test_evaluation_errors_point_at_the_offending_token(text, message, pos):
+    # the divisor, the second bracket operand, the sum term that does not fit
+    with pytest.raises(E.ExprError) as err:
+        E.evaluate(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A+ +", "unexpected end of input (at position 4)"),
+    ("(H", "expected ')', found end of input (at position 2)"),
+    ("[H,A+", "expected ']', found end of input (at position 5)"),
+    ("(H,A+)", "expected ')', found token ',' (at position 2)"),
+])
+def test_parser_errors_name_the_end_of_input(text, message):
+    with pytest.raises(E.ExprError) as err:
+        E.parse(text)
+    assert str(err.value) == message
+
+
 def random_ast(rng, depth):
     """Random well-formed expression tree over a small name pool."""
     names = ["H", "A+", "B-", "Q+", "R", "V", "E12", "R2", "Rt1", "z", "dzb"]
