@@ -21,7 +21,7 @@ from .fock import CreationPolynomial, wick_inner
 from .jordan import JordanLabel, build_state, _blocks, _dfact
 
 __all__ = [
-    "normalization", "creation_over_normalized_ratio", "norm_pairing",
+    "normalization", "norm_pairing",
     "GramBlock", "gram", "PhiTransform", "orthogonalize",
     "verify_normalization", "verify_T_vanishing", "verify_q_identities",
     "verify_gram_blocks", "verify_orthogonalization", "verify_reference_phi_blocks",
@@ -36,12 +36,6 @@ def normalization(k: int, n: int) -> ParamScalar:
     val = Fraction(8 ** (k + n) * math.factorial(k) * math.factorial(n) ** 2
                    * _dfact(2 * n + 2 * k + 1), 2 * n + 1)
     return scalar(val) * G ** (2 * n) * LAM ** (2 * k + n)
-
-
-def creation_over_normalized_ratio(n: int) -> ParamScalar:
-    """Ratio between the two historical normalization conventions for the
-    chain top: (2g)^(2n) n! (2n-1)!!."""
-    return scalar(Fraction(2 ** (2 * n) * math.factorial(n) * _dfact(2 * n - 1))) * G ** (2 * n)
 
 
 def norm_pairing(k: int, n: int, m: int) -> ParamScalar:

@@ -130,7 +130,8 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
+            wanted = "a non-negative integer" if kind == "uint" else repr(kind)
+            raise ExprError(f"expected {wanted}, found {_shown(tok)}", tok[2])
         self.pos += 1
         return tok
 
@@ -344,12 +345,3 @@ def evaluate(text_or_node):
     the identity in the model space)."""
     node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
     return _as_op(_evaluate(node))
-
-
-def evaluate_scalar(text_or_node) -> ParamScalar:
-    """Evaluate an expression that must be a pure scalar."""
-    node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
-    val = _evaluate(node)
-    if not isinstance(val, ParamScalar):
-        raise ExprError("expected a scalar expression", node.pos)
-    return val

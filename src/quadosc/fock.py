@@ -26,15 +26,15 @@ from itertools import product
 
 from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
-                   SPACE_ABC, WEIGHT_STD, ground_state, poly_var, derivative,
+                   SPACE_ABC, ground_state, poly_var, derivative,
                    multiplication, _add_into, _conjugated)
 from . import operators as _ops
 
 __all__ = [
     "CreationPolynomial", "contraction_matrix", "expand_q_power",
     "wick_inner", "gaussian_moment_inner", "to_gaussian_state",
-    "gaussian_state_to_creation", "creation_to_uvw", "uvw_to_creation",
-    "uvw_poly_to_zzb", "zzb_poly_to_uvw", "verify_contraction_matrix",
+    "gaussian_state_to_creation", "uvw_poly_to_zzb", "zzb_poly_to_uvw",
+    "verify_contraction_matrix",
 ]
 
 _LETTERS = ("A", "B", "C")
@@ -245,7 +245,7 @@ def _uvw_change_images():
 def uvw_picture(op: WeylOperator) -> WeylOperator:
     """A zzb operator conjugated by Psi0 and written in (u, v, w): its action
     on poly * Psi0, read on the (u, v, w) form of poly."""
-    return _conjugated(op, WEIGHT_STD).substitute(_uvw_change_images())
+    return _conjugated(op).substitute(_uvw_change_images())
 
 
 def uvw_poly_to_zzb(p: Poly3) -> Poly3:
@@ -266,20 +266,6 @@ def _word_state(word) -> GaussianState:
             inner[axis] -= 1
             return _ops.catalogue()[f"{letter}+"].apply(_word_state(tuple(inner)))
     return ground_state()
-
-
-def creation_to_uvw(p: CreationPolynomial) -> Poly3:
-    """Exact wavefunction of a creation polynomial in the (u, v, w) variables:
-    the change of variables of its zzb wavefunction."""
-    return zzb_poly_to_uvw(to_gaussian_state(p).poly)
-
-
-def uvw_to_creation(p: Poly3) -> CreationPolynomial:
-    """Inverse of :func:`creation_to_uvw`: the zzb elimination of
-    :func:`gaussian_state_to_creation`, applied to p's zzb form."""
-    if p.space != SPACE_UVW:
-        raise ValueError("expected a uvw polynomial")
-    return gaussian_state_to_creation(GaussianState(uvw_poly_to_zzb(p)))
 
 
 def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
@@ -305,8 +291,7 @@ def _leading_coeff(i, j, l):
 
 
 def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
-    """Inverse of :func:`to_gaussian_state` by triangular elimination in zzb;
-    only standard-weight states are creation polynomials applied to Psi0.
+    """Inverse of :func:`to_gaussian_state` by triangular elimination in zzb.
 
     The raising letters' top-degree parts are -2*lam*zb, -lam*z + 2*g*x3 and
     2*g*zb - 2*lam*x3.  In graded-lex order with z before x3 before zb the
@@ -315,8 +300,6 @@ def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
     pass over the monomials, highest first, peels every word off the
     residue, dividing only by the monomial :func:`_leading_coeff`.
     """
-    if s.weight != WEIGHT_STD:
-        raise ValueError("only standard-weight states have a creation polynomial")
     residue = dict(s.poly.terms)
     out = {}
     for a, b, c in _peeling_order(s.poly.degree()):
@@ -409,8 +392,6 @@ def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar
     """Independent oracle: int bra ket Psi0^2 / int Psi0^2 by formal Gaussian
     moments over the real coordinates, tabulated per zzb monomial of the
     product bra * ket."""
-    if bra.weight != ket.weight or bra.weight != WEIGHT_STD:
-        raise ValueError("the moment oracle pairs standard-weight states")
     total = ZERO
     for mono, coeff in (bra.poly * ket.poly).terms.items():
         m = _zzb_moment(mono)

@@ -61,10 +61,6 @@ class JordanLabel:
     def energy(self) -> ParamScalar:
         return scalar(2 * (2 * self.k + self.n)) * LAM
 
-    @property
-    def block_dimension(self) -> int:
-        return 2 * self.n + 1
-
     def to_json(self):
         return {"k": self.k, "n": self.n, "m": self.m, "energy": self.energy.render()}
 

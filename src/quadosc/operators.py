@@ -717,12 +717,6 @@ def _sub_scaled(acc: dict, other: dict, factor):
             acc[k] = nv
 
 
-def express_in_span(target: SqrtTwoLamOperator):
-    """Exact coefficients expressing an even element in the quadratic span,
-    or None when no representation exists."""
-    return _span_solver().express(target)
-
-
 @lru_cache(maxsize=None)
 def _span_solver() -> "SpanSolver":
     return SpanSolver(_span_basis())

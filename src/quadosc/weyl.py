@@ -286,11 +286,10 @@ class WeylOperator(SparseTerms):
 
     def apply(self, state: "GaussianState") -> "GaussianState":
         """Exact action on a polynomial-times-Gaussian state: the operator
-        conjugated by the state's weight, acting on the polynomial part."""
+        conjugated by Psi0, acting on the polynomial part."""
         if self.space != SPACE_ZZB:
             raise ValueError("only zzb operators act on Gaussian states")
-        return GaussianState(_conjugated(self, state.weight).apply_poly(state.poly),
-                             state.weight)
+        return GaussianState(_conjugated(self).apply_poly(state.poly))
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
         """Action on a bare polynomial: x^a d^d sends x^q to q!/(q-d)! x^(q-d+a)
@@ -419,10 +418,6 @@ class Poly3(SparseTerms):
 
     substitute = SparseTerms.substitute
 
-    def swap01(self) -> "Poly3":
-        """Exchange the first two variables (the x2-parity action on zzb)."""
-        return self._new({(b, a, c): v for (a, b, c), v in self.terms.items()})
-
 
 def poly_one(space=SPACE_ZZB) -> Poly3:
     return Poly3({(0, 0, 0): ONE}, space)
@@ -434,92 +429,72 @@ def poly_var(i, space=SPACE_ZZB) -> Poly3:
     return Poly3({tuple(mono): ONE}, space)
 
 
-WEIGHT_STD = "psi0"
-WEIGHT_SWAPPED = "psi0_swapped"
-
 def _conjugation_images():
     """Images of the generators (z, zb, x3, dz, dzb, d3) under conjugation by
-    each weight, by weight name: Psi0^-1 d_i Psi0 = d_i + (d_i log Psi0).  The
-    swapped weight's are the x2-parity images, slots dz and dzb exchanged."""
+    Psi0: Psi0^-1 d_i Psi0 = d_i + (d_i log Psi0)."""
     z, zb, x3, dz, dzb, d3 = [variable(i) for i in range(3)] + [derivative(i) for i in range(3)]
     half = scalar(1) / scalar(2)
-    std = (z, zb, x3,
-           dz + zb.scale(-half * LAM),
-           dzb + z.scale(-half * LAM) + x3.scale(G),
-           d3 + x3.scale(-LAM) + zb.scale(G))
-    swapped = tuple(std[j].eta_conjugate() for j in (1, 0, 2, 4, 3, 5))
-    return {WEIGHT_STD: std, WEIGHT_SWAPPED: swapped}
+    return (z, zb, x3,
+            dz + zb.scale(-half * LAM),
+            dzb + z.scale(-half * LAM) + x3.scale(G),
+            d3 + x3.scale(-LAM) + zb.scale(G))
 
 
 CONJUGATION_IMAGES = _conjugation_images()
 
 
 @lru_cache(maxsize=16)
-def _conjugated(op: WeylOperator, weight: str) -> WeylOperator:
-    """Psi^-1 op Psi for the Gaussian ``weight`` Psi: the operator whose action
-    on a bare polynomial is ``op``'s action on the polynomial times Psi.  The
-    bound keeps the catalogue's letters warm and lets one-off operators go."""
-    return op.substitute(CONJUGATION_IMAGES[weight])
+def _conjugated(op: WeylOperator) -> WeylOperator:
+    """Psi0^-1 op Psi0: the operator whose action on a bare polynomial is
+    ``op``'s action on the polynomial times Psi0.  The bound keeps the
+    catalogue's letters warm and lets one-off operators go."""
+    return op.substitute(CONJUGATION_IMAGES)
 
 
 class GaussianState:
     """A state  poly(z, zb, x3) * Psi0  with Psi0 the model ground state.
+    Under the bilinear pairing a state's left partner is the same polynomial
+    times Psi0, so no other Gaussian factor is needed."""
 
-    ``weight`` selects the Gaussian factor: the standard one, or its image
-    under the x2-parity map (the partner functions for the adjoint problem).
-    """
+    __slots__ = ("poly",)
 
-    __slots__ = ("poly", "weight")
-
-    def __init__(self, poly: Poly3, weight: str = WEIGHT_STD):
+    def __init__(self, poly: Poly3):
         if poly.space != SPACE_ZZB:
             raise ValueError("GaussianState polynomials live in the zzb space")
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "weight", weight)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
 
     def __add__(self, other):
-        if self.weight != other.weight:
-            raise ValueError("cannot add states with different weights")
-        return GaussianState(self.poly + other.poly, self.weight)
+        return GaussianState(self.poly + other.poly)
 
     def __sub__(self, other):
-        if self.weight != other.weight:
-            raise ValueError("cannot subtract states with different weights")
-        return GaussianState(self.poly - other.poly, self.weight)
+        return GaussianState(self.poly - other.poly)
 
     def __neg__(self):
-        return GaussianState(-self.poly, self.weight)
+        return GaussianState(-self.poly)
 
     def scale(self, c) -> "GaussianState":
-        return GaussianState(self.poly.scale(c), self.weight)
+        return GaussianState(self.poly.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, GaussianState):
             return NotImplemented
-        return self.weight == other.weight and self.poly == other.poly
+        return self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.weight, self.poly))
+        return hash(self.poly)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def eta_apply(self) -> "GaussianState":
-        """x2-parity image: swaps z and zb in both the polynomial part and the
-        Gaussian exponent; an involution."""
-        w = WEIGHT_SWAPPED if self.weight == WEIGHT_STD else WEIGHT_STD
-        return GaussianState(self.poly.swap01(), w)
-
     def render(self) -> str:
-        tag = "Psi0" if self.weight == WEIGHT_STD else "P2.Psi0"
-        return f"({self.poly.render()}) * {tag}"
+        return f"({self.poly.render()}) * Psi0"
 
     def __repr__(self):
         return f"GaussianState({self.render()})"
 
 
 def ground_state() -> GaussianState:
-    return GaussianState(poly_one(), WEIGHT_STD)
+    return GaussianState(poly_one())

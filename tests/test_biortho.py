@@ -31,10 +31,6 @@ def test_norm_pairing_examples():
     assert len(vals) == 1
 
 
-def test_creation_over_normalized_ratio():
-    assert B.creation_over_normalized_ratio(2) == scalar(2 ** 4 * 2 * 3) * G ** 4
-
-
 def test_gram_block_01():
     blk = B.gram(0, 1)
     N = B.normalization(0, 1)

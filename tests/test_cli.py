@@ -80,7 +80,7 @@ _NOT_A_UNIT = "error: cannot divide by lam - g: not a unit times a monomial\n"
     (("inner", "(1/(lam - g))*B+", "A+"), _NOT_A_UNIT),
     (("inner", "A+", "B+/(lam - g)"), _NOT_A_UNIT),
     (("commutator", "H/0"), "error: division by zero (at position 2)\n"),
-])
+], ids=["commutator", "commutator-sum", "inner-bra", "inner-ket", "commutator-zero"])
 def test_bad_divisor_is_a_usage_error(capsys, argv, err):
     # the coefficient ring is Q(i)[lam^±1, g^±1]: only a nonzero unit times
     # a monomial has an inverse in it
@@ -160,7 +160,9 @@ def _inner_by_one_operator(bra, ket):
             states = [expr.evaluate(text).apply(weyl.ground_state()) for text in (bra, ket)]
         except expr.ExprError as exc:
             return 2, "", f"error: {exc}\n"
-        polys = [fock.uvw_to_creation(fock.zzb_poly_to_uvw(s.poly)) for s in states]
+        uvws = [fock.zzb_poly_to_uvw(s.poly) for s in states]
+        polys = [fock.gaussian_state_to_creation(weyl.GaussianState(fock.uvw_poly_to_zzb(q)))
+                 for q in uvws]
         return 0, fock.wick_inner(*polys).render() + "\n", ""
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
@@ -483,6 +485,22 @@ def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
     # change updates this digest and perfbench/reference/ together
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "b5f4ca513d5f580d374fe85e3d7f6fe3044e155c65b4e3cbfe8c401a2917f671"
+
+
+def test_state_outputs_match_the_benchmark_references(capsys):
+    # the byte gate of `state`, whose output the verify digest does not
+    # cover: each "state k n m repr" key of the session references, replayed
+    # through the CLI, against its stored sha256(stdout)[:16]
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "perfbench", "reference", "session.json")
+    with open(path) as fh:
+        refs = {key: want for key, want in json.load(fh).items() if key.startswith("state ")}
+    assert len(refs) == 90
+    for key, want in refs.items():
+        k, n, m, rep = key.split()[1:]
+        code, out, _ = run(capsys, "state", "--k", k, "--n", n, "--m", m, "--repr", rep)
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, key
 
 
 @pytest.mark.parametrize("suite, want_code, digest", [

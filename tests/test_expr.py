@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadosc.coeff import LAM, G, I, ONE, scalar
+from quadosc.weyl import identity_op
 from quadosc import expr as E
 from quadosc import operators as ops
 
@@ -36,9 +37,9 @@ def test_anticommutator_and_parens():
 
 
 def test_scalar_arithmetic():
-    assert E.evaluate_scalar("(3/2)*lam^2*g - I*g^3") == \
-        scalar(Fraction(3, 2)) * LAM ** 2 * G - I * G ** 3
-    assert E.evaluate_scalar("1/(2*lam)") == ONE / (2 * LAM)
+    assert E.evaluate("(3/2)*lam^2*g - I*g^3") == \
+        identity_op().scale(scalar(Fraction(3, 2)) * LAM ** 2 * G - I * G ** 3)
+    assert E.evaluate("1/(2*lam)") == identity_op().scale(ONE / (2 * LAM))
 
 
 def test_catalogue_names_round_trip():
@@ -114,6 +115,11 @@ def test_evaluation_errors_point_at_the_offending_token(text, message, pos):
     ("(H", "expected ')', found end of input (at position 2)"),
     ("[H,A+", "expected ']', found end of input (at position 5)"),
     ("(H,A+)", "expected ')', found token ',' (at position 2)"),
+    ("lam^-2", "expected a non-negative integer, found token '-' (at position 4)"),
+    ("2^x", "expected a non-negative integer, found token 'x' (at position 2)"),
+    ("Dp(x)", "expected a non-negative integer, found token 'x' (at position 3)"),
+    ("A+^(2)", "expected a non-negative integer, found token '(' (at position 3)"),
+    ("Dp(", "expected a non-negative integer, found end of input (at position 3)"),
 ])
 def test_parser_errors_name_the_end_of_input(text, message):
     with pytest.raises(E.ExprError) as err:
@@ -176,4 +182,4 @@ def test_scalar_render_round_trip():
         -LAM ** 3 / (scalar(48)),
     ]
     for v in values:
-        assert E.evaluate_scalar(v.render()) == v
+        assert E.evaluate(v.render()) == identity_op().scale(v)

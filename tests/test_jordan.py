@@ -21,7 +21,6 @@ def test_label_validation():
         JordanLabel(-1, 0, 0)
     lbl = JordanLabel(1, 2, 3)
     assert lbl.energy == scalar(8) * LAM
-    assert lbl.block_dimension == 5
 
 
 def test_coeff_a_examples():

@@ -11,7 +11,6 @@ _SLOW_OK = settings(max_examples=20, deadline=None,
 from quadosc import coeff, weyl
 from quadosc.coeff import LAM, G, I, ONE, ZERO, ParamScalar, scalar
 from quadosc.weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
-                          WEIGHT_STD, WEIGHT_SWAPPED,
                           variable, derivative, identity_op, ground_state,
                           poly_var, poly_one)
 from quadosc.operators import boson, catalogue
@@ -77,11 +76,9 @@ def test_apply_examples():
     assert cat["H"].apply(psi0).is_zero()
 
 
-def test_eta_apply_involution():
-    s = GaussianState(poly_var(0) + poly_var(2).scale(G))
-    assert s.eta_apply().eta_apply() == s
-    assert ground_state().eta_apply().poly == poly_one()
-    assert ground_state().eta_apply().weight != ground_state().weight
+def test_state_renders_as_its_polynomial_times_psi0():
+    assert ground_state().render() == "(1) * Psi0"
+    assert repr(catalogue()["A+"].apply(ground_state())) == "GaussianState((-2*lam*zb) * Psi0)"
 
 
 def small_scalars():
@@ -135,15 +132,6 @@ def test_apply_is_module_action(a, b, s):
     assert (a + b).apply(s) == a.apply(s) + b.apply(s)
 
 
-@_SLOW_OK
-@given(operators(), states())
-def test_eta_intertwines_the_action(a, s):
-    # the x2-parity map carries an operator acting on a state to the swapped
-    # operator acting on the swapped state, from either weight
-    for state in (s, s.eta_apply()):
-        assert a.apply(state).eta_apply() == a.eta_conjugate().apply(state.eta_apply())
-
-
 def diff_oracle(poly, axis):
     """d/dx_axis of a bare polynomial, term by term."""
     out = Poly3({}, poly.space)
@@ -165,9 +153,6 @@ def _std_dlog_rules():
 
 
 _STD = _std_dlog_rules()
-# the swapped weight's rule in slot dz is the parity image of slot dzb's
-DLOG_RULES = {WEIGHT_STD: _STD,
-              WEIGHT_SWAPPED: tuple(_STD[j].swap01() for j in (1, 0, 2))}
 
 
 def act_oracle(a, poly, rules=None):
@@ -188,9 +173,8 @@ def act_oracle(a, poly, rules=None):
 @_SLOW_OK
 @given(operators(2), states())
 def test_apply_matches_the_log_derivative_rule(a, s):
-    # conjugating by the weight once, against d_i + (d_i log Psi) per step
-    for state in (s, s.eta_apply()):
-        assert a.apply(state).poly == act_oracle(a, state.poly, DLOG_RULES[state.weight])
+    # conjugating by Psi0 once, against d_i + (d_i log Psi0) per step
+    assert a.apply(s).poly == act_oracle(a, s.poly, _STD)
 
 
 @_SLOW_OK
