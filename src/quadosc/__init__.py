@@ -1,9 +1,9 @@
 """Exact symbolic verification engine for a three-dimensional
 pseudo-Hermitian quadratic oscillator.
 
-The package computes everything over the field of rational functions in the
-two model parameters, so every verified identity is an exact statement, not a
-numerical one.
+The package computes everything in the Laurent ring Q(i)[lam^±1, g^±1] of
+the two model parameters, so every verified identity is an exact statement,
+not a numerical one.
 """
 
 from .coeff import ParamScalar, LAM, G, I

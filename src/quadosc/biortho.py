@@ -251,14 +251,13 @@ def verify_q_identities(k_max: int, n_max: int) -> list:
     for k in range(1, k_max + 1):
         qk = _fock.to_gaussian_state(_fock.expand_q_power(k))
         qk1 = _fock.expand_q_power(k - 1)
+        lowered = qk1.scale(scalar(8 * k * (2 * k + 1)) * lam * lam)
+        if k >= 2:
+            lowered = lowered - (CreationPolynomial.word(2, 0, 0) * _fock.expand_q_power(k - 2)
+                                 ).scale(scalar(16 * k * (k - 1)) * g * g)
         out.append(record(
             f"biortho/q-lower-k{k}", "lowering the double-step power on the ground state",
-            Qm.apply(qk),
-            _fock.to_gaussian_state(qk1).scale(scalar(8 * k * (2 * k + 1)) * lam * lam)
-            + (_fock.to_gaussian_state(CreationPolynomial.word(2, 0, 0)
-                                       * _fock.expand_q_power(k - 2)).scale(
-                scalar(-16 * k * (k - 1)) * g * g)
-               if k >= 2 else _fock.to_gaussian_state(CreationPolynomial.zero()))))
+            Qm.apply(qk), _fock.to_gaussian_state(lowered)))
         out.append(record(
             f"biortho/b-lower-k{k}", "second letter lowering on double-step powers",
             cat["B-"].apply(qk),

@@ -229,7 +229,6 @@ def _zzb_images_in_uvw():
     return _linear_images(_inverse3(_UVW_FORMS), SPACE_UVW)
 
 
-@lru_cache(maxsize=None)
 def _uvw_change_images():
     """Images of the zzb generators (z, zb, x3, dz, dzb, d3) in the uvw
     algebra: the variables by the inverse change, and by the chain rule each
@@ -272,7 +271,7 @@ def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
     """The wavefunction of a creation polynomial, as poly(z, zb, x3) * Psi0."""
     out = {}
     for word, c in p.terms.items():
-        _add_into(out, _word_state(word).poly.terms, c)
+        _add_into(out, _word_state(word).terms, c)
     return GaussianState(Poly3(out, SPACE_ZZB))
 
 
@@ -300,16 +299,16 @@ def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
     pass over the monomials, highest first, peels every word off the
     residue, dividing only by the monomial :func:`_leading_coeff`.
     """
-    residue = dict(s.poly.terms)
+    residue = dict(s.terms)
     out = {}
-    for a, b, c in _peeling_order(s.poly.degree()):
+    for a, b, c in _peeling_order(s.degree()):
         coeff = residue.get((a, b, c))
         if coeff is None or coeff.is_zero():
             continue
         word = (b, a, c)
         k = coeff / _leading_coeff(*word)
         out[word] = k
-        _add_into(residue, _word_state(word).poly.terms, -k)
+        _add_into(residue, _word_state(word).terms, -k)
     return CreationPolynomial(out)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
-                   poly_var, poly_one, variable, derivative, identity_op)
+                   poly_var, poly_one, variable, derivative, identity_op, _add_into)
 from . import operators as _ops
 from .operators import check, record
 from . import fock as _fock
@@ -526,10 +526,10 @@ def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
 
 
 def _expansion_state(terms) -> GaussianState:
-    acc = GaussianState(Poly3({}, SPACE_ZZB))
+    out = {}
     for lbl, coeff in terms:
-        acc = acc + build_state(lbl).gaussian().scale(coeff)
-    return acc
+        _add_into(out, build_state(lbl).gaussian().terms, coeff)
+    return GaussianState(Poly3(out, SPACE_ZZB))
 
 
 def _action_records(max_k: int, max_n: int, kind: str, anchor: str, op_names,

@@ -197,7 +197,6 @@ def _gl3_from_ladders(c) -> dict:
     return e
 
 
-@lru_cache(maxsize=None)
 def gl3_from_bilinears() -> dict:
     """The alternative construction of the gl(3) generators as combinations of
     the nine bilinears; must coincide with the ladder-product construction."""
@@ -234,7 +233,6 @@ def gl3_from_bilinears() -> dict:
     return e
 
 
-@lru_cache(maxsize=None)
 def bilinear_differential_forms() -> dict:
     """The explicit differential realizations of the nine bilinears."""
     lam, g = LAM, G

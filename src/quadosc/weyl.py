@@ -9,9 +9,10 @@ coefficients.  Two operator "spaces" share this structure:
 * ``uvw``  — variables (u, v, w), derivatives (du, dv, dw); the transformed
   space used for the multivariate-polynomial layer.
 
-Operators, polynomials and creation-letter polynomials are all sparse sums of
-monomials; :class:`SparseTerms` holds their shared additive structure,
-equality and rendering, and each subclass adds only its own product.
+Operators, polynomials, creation-letter polynomials and states are all sparse
+sums of monomials; :class:`SparseTerms` holds their shared additive structure,
+equality and rendering, and each subclass adds only its own product (a state
+has none).
 Equality is exact term-wise equality, so operator identities are decidable.
 All values are immutable; operations are pure.
 """
@@ -67,7 +68,7 @@ class SparseTerms:
     """Immutable finite sum of monomials (exponent tuples) with ParamScalar
     coefficients, in one named variable space.
 
-    Holds everything the three containers share: the additive structure,
+    Holds everything the four containers share: the additive structure,
     scaling, equality, hashing and the one rendering rule.  Subclasses supply
     the product.  Results keep the class of ``self`` through :meth:`_new`.
     """
@@ -289,11 +290,12 @@ class WeylOperator(SparseTerms):
         conjugated by Psi0, acting on the polynomial part."""
         if self.space != SPACE_ZZB:
             raise ValueError("only zzb operators act on Gaussian states")
-        return GaussianState(_conjugated(self).apply_poly(state.poly))
+        return _conjugated(self).apply_poly(state)
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
         """Action on a bare polynomial: x^a d^d sends x^q to q!/(q-d)! x^(q-d+a)
-        in each variable, the fully contracted term of :func:`_reorder`'s formula."""
+        in each variable, the fully contracted term of :func:`_reorder`'s formula.
+        The result has the class of ``poly``, so a state's terms give a state."""
         if self.space != poly.space:
             raise ValueError("operator and polynomial space mismatch")
         perm = math.perm
@@ -451,46 +453,30 @@ def _conjugated(op: WeylOperator) -> WeylOperator:
     return op.substitute(CONJUGATION_IMAGES)
 
 
-class GaussianState:
-    """A state  poly(z, zb, x3) * Psi0  with Psi0 the model ground state.
-    Under the bilinear pairing a state's left partner is the same polynomial
-    times Psi0, so no other Gaussian factor is needed."""
+class GaussianState(SparseTerms):
+    """A state  poly(z, zb, x3) * Psi0  with Psi0 the model ground state: the
+    zzb terms of ``poly``, with the additive structure of every container but
+    no product.  Under the bilinear pairing a state's left partner is the same
+    polynomial times Psi0, so no other Gaussian factor is needed."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
 
     def __init__(self, poly: Poly3):
         if poly.space != SPACE_ZZB:
             raise ValueError("GaussianState polynomials live in the zzb space")
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "terms", poly.terms)
+        object.__setattr__(self, "space", SPACE_ZZB)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianState is immutable")
-
-    def __add__(self, other):
-        return GaussianState(self.poly + other.poly)
-
-    def __sub__(self, other):
-        return GaussianState(self.poly - other.poly)
-
-    def __neg__(self):
-        return GaussianState(-self.poly)
-
-    def scale(self, c) -> "GaussianState":
-        return GaussianState(self.poly.scale(c))
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianState):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
+    @property
+    def poly(self) -> Poly3:
+        """The polynomial factor, over this state's terms (already clean)."""
+        out = object.__new__(Poly3)
+        object.__setattr__(out, "terms", self.terms)
+        object.__setattr__(out, "space", SPACE_ZZB)
+        return out
 
     def render(self) -> str:
-        return f"({self.poly.render()}) * Psi0"
+        return f"({super().render()}) * Psi0"
 
     def __repr__(self):
         return f"GaussianState({self.render()})"

@@ -101,6 +101,12 @@ def test_errors_carry_position():
     ("[H,u]", "operator spaces differ in one expression", 3),
     ("z + u", "operator spaces differ in one expression", 4),
     ("z - 2*u", "operator spaces differ in one expression", 4),
+], ids=[   # fixed: mending a message keeps the names the cases were collected under
+    "1/0-division by zero-2",
+    "H/z-division requires a scalar divisor-2",
+    "[H,u]-operator spaces differ in one expression-3",
+    "z + u-operator spaces differ in one expression-4",
+    "z - 2*u-operator spaces differ in one expression-4",
 ])
 def test_evaluation_errors_point_at_the_offending_token(text, message, pos):
     # the divisor, the second bracket operand, the sum term that does not fit
@@ -120,6 +126,16 @@ def test_evaluation_errors_point_at_the_offending_token(text, message, pos):
     ("Dp(x)", "expected a non-negative integer, found token 'x' (at position 3)"),
     ("A+^(2)", "expected a non-negative integer, found token '(' (at position 3)"),
     ("Dp(", "expected a non-negative integer, found end of input (at position 3)"),
+], ids=[   # fixed: mending a message keeps the names the cases were collected under
+    "A+ +-unexpected end of input (at position 4)",
+    "(H-expected ')', found end of input (at position 2)",
+    "[H,A+-expected ']', found end of input (at position 5)",
+    "(H,A+)-expected ')', found token ',' (at position 2)",
+    "lam^-2-expected a non-negative integer, found token '-' (at position 4)",
+    "2^x-expected a non-negative integer, found token 'x' (at position 2)",
+    "Dp(x)-expected a non-negative integer, found token 'x' (at position 3)",
+    "A+^(2)-expected a non-negative integer, found token '(' (at position 3)",
+    "Dp(-expected a non-negative integer, found end of input (at position 3)",
 ])
 def test_parser_errors_name_the_end_of_input(text, message):
     with pytest.raises(E.ExprError) as err:

@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves, and memo tables are
-``lru_cache``s."""
+"""Package surface: every exported name resolves, memo tables are
+``lru_cache``s, and sums of terms live in the one shared container."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -29,6 +30,22 @@ def test_memo_tables_are_lru_caches(name):
     dicts = {(name, attr) for attr, value in vars(module).items()
              if attr.endswith("_CACHE") and isinstance(value, dict)}
     assert dicts <= DICT_CACHES, f"hand-rolled memo dicts: {sorted(dicts - DICT_CACHES)}"
+
+
+# the s-extension keeps its own sum until the benchmark stops wrapping it;
+# every other class with a sum is the scalar or a SparseTerms
+ADDITIVE_CLASSES = {("quadosc.coeff", "ParamScalar"),
+                    ("quadosc.operators", "SqrtTwoLamOperator")}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sums_live_in_the_shared_container(name):
+    from quadosc.weyl import SparseTerms
+    module = importlib.import_module(name)
+    rolled = {(name, attr) for attr, cls in vars(module).items()
+              if inspect.isclass(cls) and cls.__module__ == name
+              and "__add__" in vars(cls) and not issubclass(cls, SparseTerms)}
+    assert rolled <= ADDITIVE_CLASSES, f"hand-rolled containers: {sorted(rolled - ADDITIVE_CLASSES)}"
 
 
 def test_a_repeated_commutator_hits_the_bracket_cache():

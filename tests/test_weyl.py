@@ -81,6 +81,19 @@ def test_state_renders_as_its_polynomial_times_psi0():
     assert repr(catalogue()["A+"].apply(ground_state())) == "GaussianState((-2*lam*zb) * Psi0)"
 
 
+def test_state_keeps_the_operator_protocol():
+    psi0 = ground_state()
+    with pytest.raises(TypeError):
+        psi0 + 1
+    with pytest.raises(TypeError):
+        1 - psi0
+    with pytest.raises(TypeError):
+        psi0 * psi0
+    assert (psi0 == poly_one()) is False
+    assert 2 * psi0 == psi0.scale(2)
+    assert psi0.poly == poly_one()
+
+
 def small_scalars():
     # Gaussian rationals, negative powers and a sum over a monomial
     # denominator, so that the kernel's common denominators differ
