@@ -9,6 +9,7 @@ Hankel with zeros above the anti-diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,25 +184,25 @@ def verify_normalization(max_k: int, max_n: int) -> list:
     return out
 
 
+# which: (kind, least k, least n, ket A+ power, ket B+ power below n,
+# ket Q+ power below k); the bra is (A+)^n (Q+)^(k-1) for all three
+_T_PAIRINGS = {
+    1: ("first", 2, 0, 2, 0, 2),
+    2: ("second", 1, 1, 1, 1, 1),
+    3: ("third", 1, 2, 0, 2, 0),
+}
+
+
 def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
     """The three vacuum pairings whose vanishing drives the normalization
     induction; evaluated by contraction permanents."""
-    qk1 = _fock.expand_q_power(k - 1)
-    bra = CreationPolynomial.word(n, 0, 0) * qk1
-    if which == 1:
-        if k < 2:
-            raise ValueError("first pairing needs k >= 2")
-        ket = CreationPolynomial.word(2, n, 0) * _fock.expand_q_power(k - 2)
-    elif which == 2:
-        if k < 1 or n < 1:
-            raise ValueError("second pairing needs k >= 1, n >= 1")
-        ket = CreationPolynomial.word(1, n - 1, 0) * _fock.expand_q_power(k - 1)
-    elif which == 3:
-        if k < 1 or n < 2:
-            raise ValueError("third pairing needs k >= 1, n >= 2")
-        ket = CreationPolynomial.word(0, n - 2, 0) * _fock.expand_q_power(k)
-    else:
+    if which not in _T_PAIRINGS:
         raise ValueError("which must be 1, 2, or 3")
+    kind, least_k, least_n, a, b, c = _T_PAIRINGS[which]
+    if k < least_k or n < least_n:
+        raise ValueError(f"{kind} pairing needs k >= {least_k}, n >= {least_n}")
+    bra = CreationPolynomial.word(n, 0, 0) * _fock.expand_q_power(k - 1)
+    ket = CreationPolynomial.word(a, n - b, 0) * _fock.expand_q_power(k - c)
     sign = -ONE if n % 2 else ONE
     return sign * wick_inner(bra, ket)
 
@@ -209,15 +210,10 @@ def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
 def verify_T_vanishing(max_k: int, max_n: int) -> list:
     out = []
     for k, n in _blocks(max_k, max_n):
-        if k >= 2:
-            out.append(record(f"biortho/T1-{k}-{n}", "vanishing pairing (first kind)",
-                              t_vanishing_value(1, k, n), ZERO))
-        if k >= 1 and n >= 1:
-            out.append(record(f"biortho/T2-{k}-{n}", "vanishing pairing (second kind)",
-                              t_vanishing_value(2, k, n), ZERO))
-        if k >= 1 and n >= 2:
-            out.append(record(f"biortho/T3-{k}-{n}", "vanishing pairing (third kind)",
-                              t_vanishing_value(3, k, n), ZERO))
+        for which, (kind, least_k, least_n, *_) in _T_PAIRINGS.items():
+            if k >= least_k and n >= least_n:
+                out.append(record(f"biortho/T{which}-{k}-{n}", f"vanishing pairing ({kind} kind)",
+                                  t_vanishing_value(which, k, n), ZERO))
     return out
 
 
@@ -365,11 +361,7 @@ def verify_cross_block_orthogonality(max_k: int, max_n: int) -> list:
     """Members of distinct blocks pair to zero, including at the degenerate
     energy where two different blocks share an eigenvalue."""
     out = []
-    pairs = []
-    labels = list(_blocks(max_k, max_n))
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            pairs.append((a, b))
+    pairs = list(itertools.combinations(_blocks(max_k, max_n), 2))
     if ((0, 2), (1, 0)) not in pairs:
         pairs.append(((0, 2), (1, 0)))
     for (k1, n1), (k2, n2) in pairs:

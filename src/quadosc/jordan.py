@@ -129,47 +129,40 @@ def coeff_b(n: int, p: int, q: int) -> ParamScalar:
     return scalar(val) * G ** (2 * p + 1)
 
 
-def _a_guarded(n, p, q):
-    if q < 0 or q > p:
-        return ZERO
-    return coeff_a(n, p, q)
-
-
-def _b_guarded(n, p, q):
-    if q < 0 or q > p:
-        return ZERO
-    return coeff_b(n, p, q)
+def _guarded(table, n, p, q):
+    """``table(n, p, q)``, read as zero outside 0 <= q <= p."""
+    return table(n, p, q) if 0 <= q <= p else ZERO
 
 
 def rec_b_from_a(n: int, p: int, q: int) -> ParamScalar:
     """Odd-step coefficients from the even-step table (first cross relation)."""
-    return scalar(-2) * G * (scalar(2 * p - 2 * q + 2) * _a_guarded(n, p, q - 1)
-                             + scalar(n - 2 * p + q) * _a_guarded(n, p, q))
+    return scalar(-2) * G * (scalar(2 * p - 2 * q + 2) * _guarded(coeff_a, n, p, q - 1)
+                             + scalar(n - 2 * p + q) * _guarded(coeff_a, n, p, q))
 
 
 def rec_a_from_b(n: int, p1: int, q: int) -> ParamScalar:
     """Even-step coefficients at level p1 = p + 1 from the odd-step table."""
     p = p1 - 1
-    return scalar(-2) * G * (scalar(2 * p + 3 - 2 * q) * _b_guarded(n, p, q - 1)
-                             + scalar(n - 2 * p + q - 1) * _b_guarded(n, p, q))
+    return scalar(-2) * G * (scalar(2 * p + 3 - 2 * q) * _guarded(coeff_b, n, p, q - 1)
+                             + scalar(n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
 
 
 def rec_a_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure even-step recursion from level p = p1 - 1."""
     p = p1 - 1
     return scalar(4) * G * G * (
-        scalar(2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _a_guarded(n, p, q - 2)
-        + scalar(n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _a_guarded(n, p, q - 1)
-        + scalar(n - 2 * p + q - 1) * (n - 2 * p + q) * _a_guarded(n, p, q))
+        scalar(2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _guarded(coeff_a, n, p, q - 2)
+        + scalar(n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _guarded(coeff_a, n, p, q - 1)
+        + scalar(n - 2 * p + q - 1) * (n - 2 * p + q) * _guarded(coeff_a, n, p, q))
 
 
 def rec_b_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure odd-step recursion from level p = p1 - 1."""
     p = p1 - 1
     return scalar(4) * G * G * (
-        scalar(2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _b_guarded(n, p, q - 2)
-        + scalar(n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _b_guarded(n, p, q - 1)
-        + scalar(n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _b_guarded(n, p, q))
+        scalar(2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _guarded(coeff_b, n, p, q - 2)
+        + scalar(n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _guarded(coeff_b, n, p, q - 1)
+        + scalar(n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +171,14 @@ def rec_b_step(n: int, p1: int, q: int) -> ParamScalar:
 
 @lru_cache(maxsize=None)
 def build_state(label: JordanLabel) -> AssociatedState:
-    """Block member from the closed-form expansion in creation letters."""
+    """Block member from the closed-form expansion in creation letters: the
+    words (q, m - n + q, 2n - m - 2q) at level p = n - (m + 1) // 2, with the
+    even-step table for even m and the odd-step table for odd m."""
     k, n, m = label.k, label.n, label.m
-    mu = m // 2
-    terms = {}
-    if m % 2 == 0:
-        p = n - mu
-        for q in range(max(0, n - 2 * mu), n - mu + 1):
-            word = (q, 2 * mu - n + q, 2 * n - 2 * mu - 2 * q)
-            c = coeff_a(n, p, q)
-            if not c.is_zero():
-                terms[word] = c
-    else:
-        p = n - mu - 1
-        for q in range(max(0, n - 2 * mu - 1), n - mu):
-            word = (q, 2 * mu + 1 - n + q, 2 * n - 2 * mu - 2 * q - 1)
-            c = coeff_b(n, p, q)
-            if not c.is_zero():
-                terms[word] = c
-    base = CreationPolynomial(terms)
+    p = n - (m + 1) // 2
+    table = coeff_b if m % 2 else coeff_a
+    base = CreationPolynomial({(q, m - n + q, 2 * n - m - 2 * q): table(n, p, q)
+                               for q in range(max(0, n - m), p + 1)})
     if k:
         base = base * _fock.expand_q_power(k)
     return AssociatedState(label, base)
@@ -458,27 +440,22 @@ def verify_jordan_layer(max_k: int, max_n: int) -> list:
     return out
 
 
+# (tag, table, recursion, first level, last level as an offset from n)
+_RECURSION_FAMILIES = (
+    ("odd-from-even", coeff_b, rec_b_from_a, 0, -1),
+    ("even-from-odd", coeff_a, rec_a_from_b, 1, 0),
+    ("even-step", coeff_a, rec_a_step, 1, 0),
+    ("odd-step", coeff_b, rec_b_step, 1, -1),
+)
+
+
 def verify_coefficient_recursions(n_max: int) -> list:
     """The closed forms satisfy all four recursion families exactly."""
     out = []
     for n in range(1, n_max + 1):
-        ok_ba = ok_ab = ok_aa = ok_bb = True
-        for p in range(0, n):
-            for q in range(0, p + 1):
-                if coeff_b(n, p, q) != rec_b_from_a(n, p, q):
-                    ok_ba = False
-        for p1 in range(1, n + 1):
-            for q in range(0, p1 + 1):
-                if coeff_a(n, p1, q) != rec_a_from_b(n, p1, q):
-                    ok_ab = False
-                if coeff_a(n, p1, q) != rec_a_step(n, p1, q):
-                    ok_aa = False
-        for p1 in range(1, n):
-            for q in range(0, p1 + 1):
-                if coeff_b(n, p1, q) != rec_b_step(n, p1, q):
-                    ok_bb = False
-        for tag, ok in (("odd-from-even", ok_ba), ("even-from-odd", ok_ab),
-                        ("even-step", ok_aa), ("odd-step", ok_bb)):
+        for tag, table, rec, first, last in _RECURSION_FAMILIES:
+            ok = all(table(n, p, q) == rec(n, p, q)
+                     for p in range(first, n + last + 1) for q in range(p + 1))
             out.append(check(f"jordan/recursion-{tag}-n{n}", "coefficient recursion family",
                              ok, "mismatch"))
     out.append(record("jordan/a-top", "top even coefficient in closed form",
@@ -490,38 +467,32 @@ def verify_coefficient_recursions(n_max: int) -> list:
 def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
     """Shift relations for powers of the three raising letters.
 
-    The correction term for the second letter is -2*p*g*(B+)^(p-1)*C+;
-    a printed source shows a q in place of that g, which fails symbolically.
-    Every product is taken once, before the loop over n: by bilinearity
-    (H - 2*n*lam) X^p = H X^p - 2*n*lam X^p, so H X^p and X^p H serve all n.
+    The correction term for the second letter is -2*p*g*(B+)^(p-1)*C+, and
+    -2*p*g*A+*(C+)^(p-1) for the third; a printed source shows a q in place
+    of that g, which fails symbolically.  The n-th relation
+    (H - 2*n*lam) X^p = X^p (H - 2*(n-p)*lam) + correction is the same for
+    every n: [H, X^p] = 2*p*lam X^p + correction.  So each bracket is taken
+    once and serves the records of all n.
     """
     cat = _ops.catalogue()
-    H = cat["H"]
-    powers = {}
-    for x in "ABC":
-        row = [identity_op(), cat[f"{x}+"]]
-        while len(row) <= p_max:
-            row.append(row[-1] * row[1])
-        powers[x] = row
-    A, B, C = powers["A"], powers["B"], powers["C"]
     sides = {}
-    for p in range(1, p_max + 1):
-        corrections = {"B": B[p - 1] * C[1], "C": A[1] * C[p - 1]}
-        for x in "ABC":
-            xp = powers[x][p]
-            right = xp * H
-            if x in corrections:
-                right = right - corrections[x].scale(scalar(2 * p) * G)
-            sides[(x, p)] = (xp, H * xp, right)
+    for x in "ABC":
+        letter, prev = cat[f"{x}+"], identity_op()
+        for p in range(1, p_max + 1):
+            xp = letter if p == 1 else prev * letter
+            target = xp.scale(scalar(2 * p) * LAM)
+            if x != "A":
+                correction = prev * cat["C+"] if x == "B" else cat["A+"] * prev
+                target = target - correction.scale(scalar(2 * p) * G)
+            sides[(x, p)] = (cat["H"].commutator(xp), target)
+            prev = xp
     out = []
     for n in range(0, n_max + 1):
         for p in range(1, p_max + 1):
             for x in "ABC":
-                xp, left, right = sides[(x, p)]
                 out.append(record(
                     f"jordan/aux-{x}-n{n}-p{p}", f"shift relation for powers of {x}+",
-                    left - xp.scale(scalar(2 * n) * LAM),
-                    right - xp.scale(scalar(2 * (n - p)) * LAM)))
+                    *sides[(x, p)]))
     return out
 
 

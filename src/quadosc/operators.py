@@ -166,34 +166,35 @@ def op(name: str) -> WeylOperator:
 
 def _gl3_from_ladders(c) -> dict:
     """gl(3) generators built directly from products of the six ladder ops."""
-    Ap, Am, Bp, Bm, Cp, Cm = (c[k] for k in ("A+", "A-", "B+", "B-", "C+", "C-"))
+    # XY is the product X+ * Y-; each of the nine is formed once
+    AA, AB, AC, BA, BB, BC, CA, CB, CC = (c[f"{x}+"] * c[f"{y}-"] for x in "ABC" for y in "ABC")
     lam, g = LAM, G
     half = _HALF
     e = {}
-    e["E11"] = (Cp * Cm).scale(-ONE / (2 * lam)) + _ID.scale(half)
-    e["E22"] = ((Bp * Bm).scale(lam / (2 * g * g)) + (Cp * Cm).scale(ONE / (2 * lam))
-                + (Bp * Cm + Cp * Bm).scale(ONE / (2 * g)) + _ID.scale(half))
-    e["E33"] = ((Ap * Am).scale(-g * g / (2 * lam ** 3))
-                + (Bp * Bm).scale(-lam / (2 * g * g))
-                + (Cp * Cm).scale(-ONE / (2 * lam))
-                + (Ap * Bm + Bp * Am).scale(-ONE / (2 * lam))
-                + (Ap * Cm + Cp * Am).scale(-g / (2 * lam * lam))
-                + (Bp * Cm + Cp * Bm).scale(-ONE / (2 * g))
+    e["E11"] = CC.scale(-ONE / (2 * lam)) + _ID.scale(half)
+    e["E22"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
+                + (BC + CB).scale(ONE / (2 * g)) + _ID.scale(half))
+    e["E33"] = (AA.scale(-g * g / (2 * lam ** 3))
+                + BB.scale(-lam / (2 * g * g))
+                + CC.scale(-ONE / (2 * lam))
+                + (AB + BA).scale(-ONE / (2 * lam))
+                + (AC + CA).scale(-g / (2 * lam * lam))
+                + (BC + CB).scale(-ONE / (2 * g))
                 + _ID.scale(half))
-    e["E12"] = ((Cp * Cm).scale(ONE / (2 * lam)) + (Cp * Bm).scale(ONE / (2 * g))).scale(I)
-    e["E21"] = ((Cp * Cm).scale(ONE / (2 * lam)) + (Bp * Cm).scale(ONE / (2 * g))).scale(I)
-    e["E13"] = ((Cp * Cm).scale(-ONE / (2 * lam)) + (Cp * Bm).scale(-ONE / (2 * g))
-                + (Cp * Am).scale(-g / (2 * lam * lam)))
-    e["E31"] = ((Cp * Cm).scale(-ONE / (2 * lam)) + (Bp * Cm).scale(-ONE / (2 * g))
-                + (Ap * Cm).scale(-g / (2 * lam * lam)))
-    e["E23"] = ((Bp * Bm).scale(lam / (2 * g * g)) + (Cp * Cm).scale(ONE / (2 * lam))
-                + (Bp * Am).scale(ONE / (2 * lam)) + (Bp * Cm).scale(ONE / (2 * g))
-                + (Cp * Am).scale(g / (2 * lam * lam))
-                + (Cp * Bm).scale(ONE / (2 * g))).scale(I)
-    e["E32"] = ((Bp * Bm).scale(lam / (2 * g * g)) + (Cp * Cm).scale(ONE / (2 * lam))
-                + (Ap * Bm).scale(ONE / (2 * lam)) + (Cp * Bm).scale(ONE / (2 * g))
-                + (Ap * Cm).scale(g / (2 * lam * lam))
-                + (Bp * Cm).scale(ONE / (2 * g))).scale(I)
+    e["E12"] = (CC.scale(ONE / (2 * lam)) + CB.scale(ONE / (2 * g))).scale(I)
+    e["E21"] = (CC.scale(ONE / (2 * lam)) + BC.scale(ONE / (2 * g))).scale(I)
+    e["E13"] = (CC.scale(-ONE / (2 * lam)) + CB.scale(-ONE / (2 * g))
+                + CA.scale(-g / (2 * lam * lam)))
+    e["E31"] = (CC.scale(-ONE / (2 * lam)) + BC.scale(-ONE / (2 * g))
+                + AC.scale(-g / (2 * lam * lam)))
+    e["E23"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
+                + BA.scale(ONE / (2 * lam)) + BC.scale(ONE / (2 * g))
+                + CA.scale(g / (2 * lam * lam))
+                + CB.scale(ONE / (2 * g))).scale(I)
+    e["E32"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
+                + AB.scale(ONE / (2 * lam)) + CB.scale(ONE / (2 * g))
+                + AC.scale(g / (2 * lam * lam))
+                + BC.scale(ONE / (2 * g))).scale(I)
     return e
 
 
@@ -715,11 +716,6 @@ def _sub_scaled(acc: dict, other: dict, factor):
             acc[k] = nv
 
 
-@lru_cache(maxsize=None)
-def _span_solver() -> "SpanSolver":
-    return SpanSolver(_span_basis())
-
-
 def _certificate(coeffs) -> str:
     if not coeffs:
         return "0"
@@ -735,7 +731,7 @@ def verify_sp6_osp16_closure() -> list:
     """Closure certificates: every bracket of the even quadratic generators,
     and every anticommutator of odd elements, lies in the quadratic span."""
     b, c = boson(), catalogue()
-    solver = _span_solver()
+    solver = SpanSolver(_span_basis())
     out = []
 
     def member(ident, anchor, bracket):

@@ -3,6 +3,7 @@
 Deselected by default; run with ``pytest -m deep``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,8 +13,11 @@ from quadosc.cli import main
 pytestmark = pytest.mark.deep
 
 
-@pytest.mark.parametrize("suite, code", [("jordan", 0), ("biortho", 1)])
-def test_block_suites_at_eight(tmp_path, suite, code):
+@pytest.mark.parametrize("suite, code, digest", [
+    ("jordan", 0, "e9a9127d0acd459b177303b21d79f1a7c08ac5d63ebd9cbd804b3ca3b213955c"),
+    ("biortho", 1, "1796d8968d3bd42435cac20b82ce153278e30913a5872fccdad42ea74b5405b9"),
+], ids=["jordan-0", "biortho-1"])
+def test_block_suites_at_eight(tmp_path, suite, code, digest):
     path = tmp_path / f"{suite}.json"
     assert main(["verify", "--suite", suite, "--max-k", "8", "--max-n", "8",
                  "--json", str(path)]) == code
@@ -21,3 +25,6 @@ def test_block_suites_at_eight(tmp_path, suite, code):
     failed = [(r["id"], r["residual"]) for r in records if r["status"] != "verified"]
     expected = [("biortho/cross-0-2-x-1-0", "m=4 x m'=0: -8*g^2")] if code else []
     assert failed == expected
+    # the refactor gate where n reaches 8: the member formula and the
+    # recursion families past the K = 4 pins of test_cli.py
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -98,21 +98,23 @@ def test_auxiliary_relations_suite():
 
 
 def test_auxiliary_relations_take_their_products_once(monkeypatch):
-    # every product is formed before the loop over n, so raising n_max adds
-    # records but no Weyl products
+    # every product and bracket is formed before the loop over n, so raising
+    # n_max adds records but no Weyl products and no brackets
     ops.catalogue()
-    mul = J.WeylOperator.__mul__
     counts = []
+    for name in ("__mul__", "_bracket"):
+        original = getattr(J.WeylOperator, name)
 
-    def counting(self, other):
-        counts[-1] += 1
-        return mul(self, other)
+        def counting(self, *args, _name=name, _original=original):
+            counts[-1][_name] += 1
+            return _original(self, *args)
 
-    monkeypatch.setattr(J.WeylOperator, "__mul__", counting)
+        monkeypatch.setattr(J.WeylOperator, name, counting)
     for n_max in (1, 3):
-        counts.append(0)
+        counts.append({"__mul__": 0, "_bracket": 0})
         assert all(r.ok for r in J.verify_auxiliary_relations(n_max, 3))
-    assert counts[0] == counts[1] > 0
+    assert counts[0] == counts[1]
+    assert counts[0]["__mul__"] > 0 and counts[0]["_bracket"] > 0
 
 
 def test_auxiliary_relations_fail_with_lam_in_the_correction(monkeypatch):
