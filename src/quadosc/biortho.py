@@ -59,14 +59,6 @@ class GramBlock:
     def dimension(self) -> int:
         return 2 * self.n + 1
 
-    def to_json(self):
-        return {
-            "k": self.k, "n": self.n,
-            "matrix": [[c.render() for c in row] for row in self.matrix],
-            "hankel": [c.render() for c in self.hankel],
-            "normalization": normalization(self.k, self.n).render(),
-        }
-
 
 def gram(k: int, n: int) -> GramBlock:
     """Full exact Gram of the block (k, n); raises if the Hankel structure or

@@ -160,8 +160,6 @@ def _cmd_tabulate(args) -> int:
                 f = _jordan.f_polynomial(p, q)
                 if not f.is_zero():
                     rows.append([p, q, f.render()])
-    else:
-        raise ValueError(f"unknown table {args.what!r}")
     _write_table(rows, header, args.csv)
     return 0
 

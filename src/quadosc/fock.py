@@ -12,8 +12,8 @@ The two engines are deliberately unrelated:
   signed matrix permanent, summed over tables of letter-pair counts.
 * :func:`gaussian_moment_inner` works directly with wavefunctions: it
   multiplies them in (z, zb, x3) and sums each monomial's formal Gaussian
-  moment, which it expands over the real coordinates and evaluates from the
-  exact inverse of the quadratic-form matrix, once per monomial.
+  moment, paired by Isserlis' recursion over the covariance of Psi0^2 in
+  (z, zb, x3), the exact inverse of its quadratic form, once per monomial.
 
 Their agreement on a sweep of states is one of the acceptance criteria.
 """
@@ -24,10 +24,9 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar
-from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_X123,
-                   SPACE_ABC, ground_state, poly_var, derivative,
-                   multiplication, _add_into, _conjugated)
+from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
+from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
+                   ground_state, poly_var, derivative, multiplication, _add_into, _conjugated)
 from . import operators as _ops
 
 __all__ = [
@@ -65,10 +64,6 @@ class CreationPolynomial(Poly3):
             if name == f"{x}+":
                 return cls.word(*(int(i == axis) for i in range(3)))
         return None
-
-    @classmethod
-    def zero(cls):
-        return cls({})
 
     def to_json(self):
         return [{"word": list(m), "coeff": c.render()} for m, c in self.sorted_terms()]
@@ -186,15 +181,9 @@ def wick_inner(bra: CreationPolynomial, ket: CreationPolynomial) -> ParamScalar:
 
 
 def expand_q_power(k: int) -> CreationPolynomial:
-    """(Q+)^k applied to the ground state, via the trinomial expansion of the
-    factorized form 2 A+ B+ - (C+)^2."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = {}
-    for j in range(k + 1):
-        coeff = scalar(math.comb(k, j)) * scalar(2) ** j * scalar(-1) ** (k - j)
-        out[(j, j, 2 * (k - j))] = coeff
-    return CreationPolynomial(out)
+    """(Q+)^k applied to the ground state: the k-th power of the factorized
+    form 2 A+ B+ - (C+)^2; a negative k raises ValueError."""
+    return CreationPolynomial({(1, 1, 0): scalar(2), (0, 0, 2): -ONE}) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +273,6 @@ def _peeling_order(degree):
     return sorted(monos, key=lambda m: (sum(m), m[0], m[2]), reverse=True)
 
 
-def _leading_coeff(i, j, l):
-    """The coefficient of z^j zb^i x3^l in the state of the word (i, j, l)."""
-    return (scalar(-2) * LAM) ** (i + l) * (-LAM) ** j
-
-
 def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
     """Inverse of :func:`to_gaussian_state` by triangular elimination in zzb.
 
@@ -297,7 +281,7 @@ def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
     word (i, j, l) therefore leads with z^j zb^i x3^l, and every other term
     of its state is lower.  Each monomial leads exactly one word, so one
     pass over the monomials, highest first, peels every word off the
-    residue, dividing only by the monomial :func:`_leading_coeff`.
+    residue, dividing only by that leading coefficient, a monomial.
     """
     residue = dict(s.terms)
     out = {}
@@ -306,9 +290,10 @@ def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
         if coeff is None or coeff.is_zero():
             continue
         word = (b, a, c)
-        k = coeff / _leading_coeff(*word)
+        lead = _word_state(word)
+        k = coeff / lead.terms[(a, b, c)]
         out[word] = k
-        _add_into(residue, _word_state(word).terms, -k)
+        _add_into(residue, lead.terms, -k)
     return CreationPolynomial(out)
 
 
@@ -318,13 +303,14 @@ def gaussian_state_to_creation(s: GaussianState) -> CreationPolynomial:
 
 @lru_cache(maxsize=None)
 def _covariance():
-    """Exact (A^-1)/2 for the squared-ground-state weight exp(-x^T A x)."""
-    lam, g = LAM, G
-    A = [[lam, ZERO, -g],
-         [ZERO, lam, I * g],
-         [-g, I * g, lam]]
+    """Exact (M^-1)/2 for the squared ground state Psi0^2 = exp(-y^T M y) in
+    y = (z, zb, x3).  The determinant of M is -lam^3/4, so the inverse stays
+    in the Laurent ring."""
     half = ONE / scalar(2)
-    return tuple(tuple(x * half for x in row) for row in _inverse3(A))
+    M = [[ZERO, LAM * half, ZERO],
+         [LAM * half, ZERO, -G],
+         [ZERO, -G, LAM]]
+    return tuple(tuple(x * half for x in row) for row in _inverse3(M))
 
 
 def _inverse3(M):
@@ -348,7 +334,7 @@ def _cofactor(M, i, j):
 
 @lru_cache(maxsize=None)
 def _moment(e) -> ParamScalar:
-    """Formal Gaussian moment <x1^e1 x2^e2 x3^e3> by Wick pairing."""
+    """Formal Gaussian moment <z^e1 zb^e2 x3^e3> by Isserlis' recursion."""
     if sum(e) == 0:
         return ONE
     if sum(e) % 2:
@@ -367,33 +353,12 @@ def _moment(e) -> ParamScalar:
     return total
 
 
-@lru_cache(maxsize=None)
-def _x123_images():
-    x1, x2, x3 = (poly_var(i, SPACE_X123) for i in range(3))
-    return (x1 + x2.scale(I), x1 + x2.scale(-I), x3)
-
-
-@lru_cache(maxsize=None)
-def _zzb_moment(mono) -> ParamScalar:
-    """<z^a zb^b x3^c> for the zzb monomial ``mono``: the monomial written in
-    the real coordinates, each of its terms paired by :func:`_moment`."""
-    if sum(mono) % 2:
-        return ZERO
-    total = ZERO
-    for real, coeff in Poly3({mono: ONE}, SPACE_ZZB).substitute(_x123_images()).terms.items():
-        m = _moment(real)
-        if not m.is_zero():
-            total = total + coeff * m
-    return total
-
-
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:
     """Independent oracle: int bra ket Psi0^2 / int Psi0^2 by formal Gaussian
-    moments over the real coordinates, tabulated per zzb monomial of the
-    product bra * ket."""
+    moments, tabulated per zzb monomial of the product bra * ket."""
     total = ZERO
     for mono, coeff in (bra.poly * ket.poly).terms.items():
-        m = _zzb_moment(mono)
+        m = _moment(mono)
         if not m.is_zero():
             total = total + coeff * m
     return total

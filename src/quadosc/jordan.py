@@ -344,43 +344,35 @@ def v_falling(n: int, i: int) -> Poly3:
 
 
 @lru_cache(maxsize=None)
+def _f_operators():
+    """The two uvw operators of the f recursion: K, the part of d_p with no
+    dv and no shift, and L, the coefficient of dv in d_p.  K's u*dw term
+    carries 2*lam*g; a printed source of the relation shows a q in place of
+    the g, which fails against direct expansion."""
+    u, w = variable(0, SPACE_UVW), variable(2, SPACE_UVW)
+    du, dw = derivative(0, SPACE_UVW), derivative(2, SPACE_UVW)
+    lam, g = LAM, G
+    K = ((u * du + w * dw).scale(scalar(2) * lam) + (u * dw).scale(scalar(2) * lam * g)
+         + (dw * dw).scale(-lam * lam))
+    L = du.scale(scalar(4) * lam) + dw.scale(scalar(8) * lam * g) + w.scale(scalar(-4) * g)
+    return K, L
+
+
+@lru_cache(maxsize=None)
 def f_polynomial(p: int, q: int) -> Poly3:
     """The (u, w)-polynomial multiplying the falling-factorial v power in the
-    expansion of the lower-lattice block members; built from the two-index
-    recursion with base 1 at p = q = 0.
-
-    The recursion term proportional to the u*dw part of the shift operator
-    carries a factor 2*lam*g*(s+1); a printed source of the relation shows a
-    q in place of the g, which fails against direct expansion.
+    expansion of the lower-lattice block members: 1 at p = q = 0, then
+    f(p, q) = (K - 2*lam*q) f(p-1, q) + L f(p-1, q-1) - 4*g^2 f(p-1, q-2)
+    with K and L from :func:`_f_operators`.
     """
     if q < 0 or q > 2 * p or p < 0:
         return Poly3({}, SPACE_UVW)
     if p == 0:
         return poly_one(SPACE_UVW) if q == 0 else Poly3({}, SPACE_UVW)
-    lam, g = LAM, G
-    prev_q = f_polynomial(p - 1, q)
-    prev_q1 = f_polynomial(p - 1, q - 1)
-    prev_q2 = f_polynomial(p - 1, q - 2)
-    terms = {}
-
-    def add(r, s, c):
-        if c.is_zero() or r < 0 or s < 0:
-            return
-        key = (r, 0, s)
-        cur = terms.get(key)
-        terms[key] = c if cur is None else cur + c
-
-    for (r, _, s), c in prev_q.terms.items():
-        add(r, s, lam * scalar(2 * (r + s - q)) * c)
-        add(r + 1, s - 1, lam * scalar(2) * g * scalar(s) * c)
-        add(r, s - 2, -lam * lam * scalar((s - 1) * s) * c)
-    for (r, _, s), c in prev_q1.terms.items():
-        add(r, s + 1, scalar(-4) * g * c)
-        add(r, s - 1, scalar(8) * lam * g * scalar(s) * c)
-        add(r - 1, s, scalar(4) * lam * scalar(r) * c)
-    for (r, _, s), c in prev_q2.terms.items():
-        add(r, s, scalar(-4) * g * g * c)
-    return Poly3(terms, SPACE_UVW)
+    K, L = _f_operators()
+    return ((K - scalar(2 * q) * LAM).apply_poly(f_polynomial(p - 1, q))
+            + L.apply_poly(f_polynomial(p - 1, q - 1))
+            + f_polynomial(p - 1, q - 2).scale(scalar(-4) * G * G))
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,11 @@ __all__ = [
 
 SPACE_ZZB = "zzb"
 SPACE_UVW = "uvw"
-SPACE_X123 = "x123"   # real coordinates; used only inside the moment oracle
 SPACE_ABC = "abc"     # commuting creation letters (fock.CreationPolynomial)
 
 _NAMES = {
     SPACE_ZZB: ("z", "zb", "x3", "dz", "dzb", "d3"),
     SPACE_UVW: ("u", "v", "w", "du", "dv", "dw"),
-    SPACE_X123: ("x1", "x2", "x3", "dx1", "dx2", "dx3"),
     SPACE_ABC: ("A+", "B+", "C+"),
 }
 

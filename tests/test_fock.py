@@ -1,14 +1,16 @@
 """Inner-product engines: contraction permanents vs Gaussian moments."""
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadosc.coeff import LAM, G, I, ONE, ZERO, scalar
 from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
-                          SPACE_UVW, SPACE_X123, poly_var)
+                          SPACE_UVW, poly_var)
 from quadosc import fock
 from quadosc import operators as ops
 from quadosc.fock import CreationPolynomial, wick_inner, gaussian_moment_inner
@@ -126,6 +128,20 @@ def test_expand_q_power():
     q2 = fock.expand_q_power(2)
     assert q2.terms == {(2, 2, 0): scalar(4), (1, 1, 2): scalar(-4), (0, 0, 4): ONE}
     assert q2 == q1 * q1
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_expand_q_power_matches_the_binomial_terms(k):
+    # (2 A+ B+ - (C+)^2)^k summed term by term: C(k, j) 2^j (-1)^(k-j) on
+    # the word (j, j, 2(k-j))
+    want = {(j, j, 2 * (k - j)): scalar(math.comb(k, j) * 2 ** j * (-1) ** (k - j))
+            for j in range(k + 1)}
+    assert fock.expand_q_power(k).terms == want
+
+
+def test_expand_q_power_rejects_negative_k():
+    with pytest.raises(ValueError):
+        fock.expand_q_power(-1)
 
 
 def test_q_power_matches_operator_route():
@@ -307,15 +323,47 @@ def test_zzb_elimination_matches_uvw_peeling_off_the_round_trip(name, poly):
     assert_elimination_matches_uvw_peeling(state)
 
 
+# The real coordinates z = x1 + i x2, zb = x1 - i x2, x3, in which Psi0^2 is
+# exp(-x^T A x): the moment engine's former route, stated here on its own.
+SPACE_REAL = "x123"
+REAL_FORM = [[LAM, ZERO, -G],
+             [ZERO, LAM, I * G],
+             [-G, I * G, LAM]]
+
+
+@lru_cache(maxsize=None)
+def real_covariance():
+    """(A^-1)/2 for the real quadratic form A."""
+    return tuple(tuple(x / 2 for x in row) for row in fock._inverse3(REAL_FORM))
+
+
+@lru_cache(maxsize=None)
+def real_moment(e):
+    """<x1^e1 x2^e2 x3^e3> by Isserlis' recursion over the real covariance."""
+    if sum(e) % 2:
+        return ZERO
+    if sum(e) == 0:
+        return ONE
+    i = next(k for k in range(3) if e[k])
+    base = list(e)
+    base[i] -= 1
+    total = ZERO
+    for j in range(3):
+        if base[j]:
+            rest = list(base)
+            rest[j] -= 1
+            total = total + real_covariance()[i][j] * base[j] * real_moment(tuple(rest))
+    return total
+
+
 def moment_of_product_oracle(bra, ket):
-    """The moment engine's former route: the whole product written in the
-    real coordinates (z = x1 + i x2, zb = x1 - i x2, stated here on their
-    own), then every monomial paired by ``fock._moment``."""
-    x1, x2, x3 = (poly_var(i, SPACE_X123) for i in range(3))
+    """The whole product written in the real coordinates, then every
+    monomial paired by :func:`real_moment`."""
+    x1, x2, x3 = (poly_var(i, SPACE_REAL) for i in range(3))
     real = (bra.poly * ket.poly).substitute((x1 + x2.scale(I), x1 + x2.scale(-I), x3))
     total = ZERO
     for mono, coeff in real.terms.items():
-        total = total + coeff * fock._moment(mono)
+        total = total + coeff * real_moment(mono)
     return total
 
 
@@ -350,33 +398,15 @@ def test_moment_table_anchors():
     for d in (1, 3, 5):
         for a in range(d + 1):
             for b in range(d - a + 1):
-                assert fock._zzb_moment((a, b, d - a - b)).is_zero()
+                assert fock._moment((a, b, d - a - b)).is_zero()
                 assert gaussian_moment_inner(mono(a, b, d - a - b), psi0).is_zero()
-    cov = fock._covariance()
+    cov = real_covariance()
     # z zb = x1^2 + x2^2, and x3 is a real coordinate
+    assert fock._moment((1, 1, 0)) == cov[0][0] + cov[1][1]
     assert gaussian_moment_inner(mono(1, 0, 0), mono(0, 1, 0)) == cov[0][0] + cov[1][1]
     assert gaussian_moment_inner(mono(0, 0, 1), mono(0, 0, 1)) == cov[2][2]
-    assert fock._zzb_moment((2, 0, 0)) == cov[0][0] - cov[1][1] + 2 * I * cov[0][1]
-    assert fock._zzb_moment((1, 0, 1)) == cov[0][2] + I * cov[1][2]
-
-
-def test_oracle_agreement_substitutes_each_monomial_once(monkeypatch):
-    from quadosc import biortho
-    seen = []
-    substitute = Poly3.substitute
-
-    def recording(self, images):
-        if images[0].space == SPACE_X123:
-            seen.append(self)
-        return substitute(self, images)
-
-    monkeypatch.setattr(Poly3, "substitute", recording)
-    fock._zzb_moment.cache_clear()
-    assert all(r.ok for r in biortho.verify_oracle_agreement(4))
-    assert seen
-    assert all(len(p.terms) == 1 for p in seen)          # never a product
-    monos = [next(iter(p.terms)) for p in seen]
-    assert len(set(monos)) == len(monos)                 # each monomial once
+    assert fock._moment((2, 0, 0)) == cov[0][0] - cov[1][1] + 2 * I * cov[0][1]
+    assert fock._moment((1, 0, 1)) == cov[0][2] + I * cov[1][2]
 
 
 def test_round_trip_uvw_creation():

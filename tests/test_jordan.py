@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadosc.coeff import LAM, G, ONE, scalar
+from quadosc.coeff import LAM, G, ONE, ZERO, scalar
 from quadosc.weyl import (SPACE_UVW, Poly3, poly_var, poly_one, variable, derivative,
                           identity_op)
 from quadosc import operators as ops
@@ -158,6 +158,39 @@ def test_f_polynomial_tables():
     assert J.f_polynomial(2, 2) == (w * w - one.scale(LAM)).scale(scalar(16) * G * G)
     assert J.f_polynomial(3, 6) == one.scale(scalar(-64) * G ** 6)
     assert J.f_polynomial(1, 0).is_zero()
+
+
+def f_polynomial_by_exponents(p, q):
+    """The recursion for f(p, q) written out on exponent keys (r, 0, s) of
+    u^r w^s, term by term: the independent reference for the operator form."""
+    if q < 0 or q > 2 * p or p < 0:
+        return Poly3({}, SPACE_UVW)
+    if p == 0:
+        return poly_one(SPACE_UVW) if q == 0 else Poly3({}, SPACE_UVW)
+    lam, g = LAM, G
+    terms = {}
+
+    def add(r, s, c):
+        if r >= 0 and s >= 0:
+            terms[(r, 0, s)] = terms.get((r, 0, s), ZERO) + c
+
+    for (r, _, s), c in f_polynomial_by_exponents(p - 1, q).terms.items():
+        add(r, s, lam * scalar(2 * (r + s - q)) * c)
+        add(r + 1, s - 1, lam * scalar(2) * g * scalar(s) * c)
+        add(r, s - 2, -lam * lam * scalar((s - 1) * s) * c)
+    for (r, _, s), c in f_polynomial_by_exponents(p - 1, q - 1).terms.items():
+        add(r, s + 1, scalar(-4) * g * c)
+        add(r, s - 1, scalar(8) * lam * g * scalar(s) * c)
+        add(r - 1, s, scalar(4) * lam * scalar(r) * c)
+    for (r, _, s), c in f_polynomial_by_exponents(p - 1, q - 2).terms.items():
+        add(r, s, scalar(-4) * g * g * c)
+    return Poly3(terms, SPACE_UVW)
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_f_polynomial_matches_the_exponent_recursion(p):
+    for q in range(2 * p + 1):
+        assert J.f_polynomial(p, q) == f_polynomial_by_exponents(p, q), q
 
 
 def test_dp_realization_and_action():

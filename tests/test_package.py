@@ -1,6 +1,8 @@
-"""Package surface: every exported name resolves, memo tables are
-``lru_cache``s, and sums of terms live in the one shared container."""
+"""Package surface: every exported name resolves, no import goes unused,
+memo tables are ``lru_cache``s, and sums of terms live in the one shared
+container."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -55,3 +57,23 @@ def test_a_repeated_commutator_hits_the_bracket_cache():
     hits = weyl._bracket_terms.cache_info().hits
     assert op("H").commutator(op("A+")) == first
     assert weyl._bracket_terms.cache_info().hits > hits
+
+
+def _imported_names(tree):
+    """The names the module body's own import statements bind."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(module, "__all__", ()))
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert not unused, f"{name} imports names it never uses: {unused}"
