@@ -20,6 +20,7 @@ from .operators import check, record
 from . import fock as _fock
 from .fock import CreationPolynomial, wick_inner
 from .jordan import JordanLabel, build_state, _blocks, _dfact
+from .weyl import identity_op
 
 __all__ = [
     "normalization", "norm_pairing",
@@ -216,7 +217,6 @@ def verify_q_identities(k_max: int, n_max: int) -> list:
     out = []
     Qp, Qm = cat["Q+"], cat["Q-"]
     lam, g = LAM, G
-    from .weyl import identity_op
     one = identity_op()
     for k in range(1, k_max + 1):
         rhs = (Qp ** (k - 1) * (cat["H"].scale(lam) - cat["V"].scale(g)

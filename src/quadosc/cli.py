@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
     for _suite_name, rec in report.failed:
         print(f"FAILED {rec.id}: residual {rec.residual}"
               + (f"  [{rec.note}]" if rec.note else ""))
-    total = report.to_json_dict()["summary"]
+    total = report.summary()
     print(f"total: {total['total']}  verified: {total['verified']}"
           f"  failed: {total['failed']}")
     if args.json:

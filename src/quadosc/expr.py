@@ -100,18 +100,12 @@ def _tokenize(text: str):
 
 # -- Parser -----------------------------------------------------------------
 
-# the names the parser knows: the generators of the two spaces, each as its
-# (space, index) in weyl's table, the scalar names and the catalogue's
-# unsigned names
+# the words the parser knows besides the catalogue's keys: the generators of
+# the two spaces, each as its (space, index) in weyl's table, and the scalar
+# names
 _GENERATORS = {name: (space, i) for space in (SPACE_ZZB, SPACE_UVW)
                for i, name in enumerate(_NAMES[space])}
 _SCALARS = {"lam": LAM, "g": G, "I": I}
-_PLAIN_NAMES = (
-    {"H", "R", "S", "T", "U", "V", "W", "X", "Y", "Z", "Rt1"}
-    | {f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)}
-    | {f"R{i}" for i in range(4)}
-    | _GENERATORS.keys()
-)
 
 
 def _shown(tok) -> str:
@@ -195,7 +189,7 @@ class _Parser:
                 p = self.take("uint")[1]
                 self.take(")")
                 return Node("name", name="Dp", arg=p, pos=pos)
-            if val in _PLAIN_NAMES or val in _SCALARS:
+            if val in _GENERATORS or val in _SCALARS or val in _ops.catalogue():
                 return Node("name", name=val, pos=pos)
             raise ExprError(f"unknown name {val!r}", pos)
         if kind == "(":

@@ -26,7 +26,8 @@ from itertools import product
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
-                   ground_state, poly_var, derivative, multiplication, _add_into, _conjugated)
+                   ground_state, identity_op, poly_var, derivative, multiplication,
+                   _add_into, _conjugated)
 from . import operators as _ops
 
 __all__ = [
@@ -113,7 +114,6 @@ def _crosscheck_contractions(table):
 
 def verify_contraction_matrix() -> list:
     """Identity records for the table cross-validation."""
-    from .weyl import identity_op
     cat = _ops.catalogue()
     table = contraction_matrix()
     out = []

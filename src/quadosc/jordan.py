@@ -267,8 +267,9 @@ def ladder_apply(op_name: str, label: JordanLabel):
 
 
 def special_operator_actions(label: JordanLabel) -> dict:
-    """Expansions of H, of the two commuting quadratic integrals appearing in
-    the Casimir combination, and the Casimir eigenvalue."""
+    """Expansions of H and of the two commuting quadratic integrals appearing
+    in the Casimir combination; the Casimir eigenvalue is
+    :func:`casimir_eigenvalue`."""
     k, n, m = label.k, label.n, label.m
     lam, g = LAM, G
     h_terms = [(label, label.energy)]
@@ -293,12 +294,7 @@ def special_operator_actions(label: JordanLabel) -> dict:
           scalar(Fraction(2 * n * (n - 1) * (2 * k + 2 * n + 1),
                           (2 * n - 1) * (2 * n + 1))) * g)
 
-    return {
-        "H": h_terms,
-        "R": r_terms,
-        "V": v_terms,
-        "casimir_eigenvalue": casimir_eigenvalue(label),
-    }
+    return {"H": h_terms, "R": r_terms, "V": v_terms}
 
 
 def casimir_eigenvalue(label: JordanLabel) -> ParamScalar:

@@ -387,74 +387,76 @@ def boson() -> dict:
 # Suites
 # ---------------------------------------------------------------------------
 
+def _combine(c, table):
+    """The sum of coefficient * ``c[name]`` over ``table``, with "1" read as
+    the identity; the empty table is the scalar 0."""
+    acc = 0
+    for name, coeff in table.items():
+        acc = acc + (_ID if name == "1" else c[name]).scale(coeff)
+    return acc
+
+
+# (id, anchor, X, Y, [X, Y] as {catalogue name: coefficient}, optional note);
+# the id is prefixed with "ladder/", and "1" names the identity
+_LADDER_TABLE = (
+    ("H-A+", "H ladder relation with A+", "H", "A+", {"A+": 2 * LAM}),
+    ("H-A-", "H ladder relation with A-", "H", "A-", {"A-": -2 * LAM}),
+    ("A-A+", "degenerate bracket of the A pair", "A-", "A+", {}),
+    ("H-Q+", "H ladder relation with Q+", "H", "Q+", {"Q+": 4 * LAM}),
+    ("H-Q-", "H ladder relation with Q-", "H", "Q-", {"Q-": -4 * LAM}),
+    ("A+Q-", "A/Q cross bracket (upper)", "A+", "Q-", {"A-": 4 * LAM},
+     "right-hand side carries the opposite-sign ladder operator"),
+    ("A-Q+", "A/Q cross bracket (lower)", "A-", "Q+", {"A+": -4 * LAM},
+     "right-hand side carries the opposite-sign ladder operator"),
+    ("A+Q+", "A/Q same-sign bracket", "A+", "Q+", {}),
+    ("A-Q-", "A/Q same-sign bracket", "A-", "Q-", {}),
+    ("Q-Q+-tilde", "Q pair bracket in terms of the auxiliary operator", "Q-", "Q+", {"Rt1": -2}),
+    ("H-B+", "H ladder relation with B+", "H", "B+", {"B+": 2 * LAM, "C+": -2 * G}),
+    ("H-B-", "H ladder relation with B-", "H", "B-", {"B-": -2 * LAM, "C-": 2 * G}),
+    ("H-C+", "H ladder relation with C+", "H", "C+", {"A+": -2 * G, "C+": 2 * LAM}),
+    ("H-C-", "H ladder relation with C-", "H", "C-", {"A-": 2 * G, "C-": -2 * LAM}),
+    ("A-B+", "constant cross contraction", "A-", "B+", {"1": -2 * LAM}),
+    ("B-A+", "constant cross contraction", "B-", "A+", {"1": -2 * LAM}),
+    ("C-C+", "constant cross contraction", "C-", "C+", {"1": -2 * LAM}),
+    ("B-C+", "constant cross contraction", "B-", "C+", {"1": 2 * G}),
+    ("C-B+", "constant cross contraction", "C-", "B+", {"1": 2 * G}),
+    ("A+B+-zero", "vanishing cross bracket", "A+", "B+", {}),
+    ("A+C+-zero", "vanishing cross bracket", "A+", "C+", {}),
+    ("B+C+-zero", "vanishing cross bracket", "B+", "C+", {}),
+    ("A-B--zero", "vanishing cross bracket", "A-", "B-", {}),
+    ("A-C--zero", "vanishing cross bracket", "A-", "C-", {}),
+    ("B-C--zero", "vanishing cross bracket", "B-", "C-", {}),
+    ("A-C+-zero", "vanishing cross bracket", "A-", "C+", {}),
+    ("C-A+-zero", "vanishing cross bracket", "C-", "A+", {}),
+    ("B-B+-zero", "vanishing cross bracket", "B-", "B+", {}),
+    ("B+Q+", "B/Q same-sign bracket", "B+", "Q+", {}),
+    ("C+Q+", "C/Q same-sign bracket", "C+", "Q+", {}),
+    ("B+Q-", "B/Q cross bracket", "B+", "Q-", {"B-": 4 * LAM, "C-": 4 * G}),
+    ("C+Q-", "C/Q cross bracket", "C+", "Q-", {"A-": -4 * G, "C-": -4 * LAM}),
+    ("B-Q-", "B/Q same-sign bracket", "B-", "Q-", {}),
+    ("C-Q-", "C/Q same-sign bracket", "C-", "Q-", {}),
+    ("B-Q+", "B/Q cross bracket", "B-", "Q+", {"B+": -4 * LAM, "C+": -4 * G}),
+    ("C-Q+", "C/Q cross bracket", "C-", "Q+", {"A+": 4 * G, "C+": 4 * LAM}),
+)
+
+
 def verify_ladder_relations() -> list:
     """Commutation relations among H, A±, B±, C±, Q± (including the zero
     brackets among same-sign letters).
 
     The cross relation [A±, Q∓] is asserted in the form ±4*lam*A∓, the form
-    consistent with direct expansion and with every downstream use.
+    consistent with direct expansion and with every downstream use.  The
+    bracket [Q-, Q+] against H and R1 is built outright: its right-hand side
+    uses R1's differential form, since the catalogue's R1 is itself defined
+    from [Q+, Q-].
     """
     c = catalogue()
-    H = c["H"]
-    lam, g = LAM, G
-    out = []
-
-    def rec(ident, anchor, lhs, rhs, note=""):
-        out.append(record(ident, anchor, lhs, rhs, note))
-
-    four_lam = scalar(4) * lam
-    two_lam = scalar(2) * lam
-    two_g = scalar(2) * g
-
-    rec("ladder/H-A+", "H ladder relation with A+", H.commutator(c["A+"]), c["A+"].scale(two_lam))
-    rec("ladder/H-A-", "H ladder relation with A-", H.commutator(c["A-"]), c["A-"].scale(-two_lam))
-    rec("ladder/A-A+", "degenerate bracket of the A pair", c["A-"].commutator(c["A+"]),
-        WeylOperator({}, SPACE_ZZB))
-    rec("ladder/H-Q+", "H ladder relation with Q+", H.commutator(c["Q+"]), c["Q+"].scale(four_lam))
-    rec("ladder/H-Q-", "H ladder relation with Q-", H.commutator(c["Q-"]), c["Q-"].scale(-four_lam))
-    rec("ladder/A+Q-", "A/Q cross bracket (upper)", c["A+"].commutator(c["Q-"]),
-        c["A-"].scale(four_lam),
-        note="right-hand side carries the opposite-sign ladder operator")
-    rec("ladder/A-Q+", "A/Q cross bracket (lower)", c["A-"].commutator(c["Q+"]),
-        c["A+"].scale(-four_lam),
-        note="right-hand side carries the opposite-sign ladder operator")
-    rec("ladder/A+Q+", "A/Q same-sign bracket", c["A+"].commutator(c["Q+"]), WeylOperator({}, SPACE_ZZB))
-    rec("ladder/A-Q-", "A/Q same-sign bracket", c["A-"].commutator(c["Q-"]), WeylOperator({}, SPACE_ZZB))
-    rec("ladder/Q-Q+", "Q pair bracket against H and the first integral",
-        c["Q-"].commutator(c["Q+"]),
-        (H.scale(lam) - _r1_differential().scale(two_g) + _ID.scale(scalar(3) * lam * lam)).scale(8))
-    rec("ladder/Q-Q+-tilde", "Q pair bracket in terms of the auxiliary operator",
-        c["Q-"].commutator(c["Q+"]), c["Rt1"].scale(-2))
-    rec("ladder/H-B+", "H ladder relation with B+", H.commutator(c["B+"]),
-        c["B+"].scale(two_lam) - c["C+"].scale(two_g))
-    rec("ladder/H-B-", "H ladder relation with B-", H.commutator(c["B-"]),
-        c["B-"].scale(-two_lam) + c["C-"].scale(two_g))
-    rec("ladder/H-C+", "H ladder relation with C+", H.commutator(c["C+"]),
-        c["A+"].scale(-two_g) + c["C+"].scale(two_lam))
-    rec("ladder/H-C-", "H ladder relation with C-", H.commutator(c["C-"]),
-        c["A-"].scale(two_g) - c["C-"].scale(two_lam))
-    minus_two_lam_const = _ID.scale(-two_lam)
-    rec("ladder/A-B+", "constant cross contraction", c["A-"].commutator(c["B+"]), minus_two_lam_const)
-    rec("ladder/B-A+", "constant cross contraction", c["B-"].commutator(c["A+"]), minus_two_lam_const)
-    rec("ladder/C-C+", "constant cross contraction", c["C-"].commutator(c["C+"]), minus_two_lam_const)
-    two_g_const = _ID.scale(two_g)
-    rec("ladder/B-C+", "constant cross contraction", c["B-"].commutator(c["C+"]), two_g_const)
-    rec("ladder/C-B+", "constant cross contraction", c["C-"].commutator(c["B+"]), two_g_const)
-    zero = WeylOperator({}, SPACE_ZZB)
-    for x, y in (("A+", "B+"), ("A+", "C+"), ("B+", "C+"),
-                 ("A-", "B-"), ("A-", "C-"), ("B-", "C-"),
-                 ("A-", "C+"), ("C-", "A+"), ("B-", "B+")):
-        rec(f"ladder/{x}{y}-zero", "vanishing cross bracket", c[x].commutator(c[y]), zero)
-    for sgn, tag, cotag in ((+1, "+", "-"), (-1, "-", "+")):
-        s = scalar(sgn)
-        rec(f"ladder/B{tag}Q{tag}", "B/Q same-sign bracket", c[f"B{tag}"].commutator(c[f"Q{tag}"]), zero)
-        rec(f"ladder/C{tag}Q{tag}", "C/Q same-sign bracket", c[f"C{tag}"].commutator(c[f"Q{tag}"]), zero)
-        rec(f"ladder/B{tag}Q{cotag}", "B/Q cross bracket",
-            c[f"B{tag}"].commutator(c[f"Q{cotag}"]),
-            c[f"B{cotag}"].scale(s * four_lam) + c[f"C{cotag}"].scale(s * scalar(4) * g))
-        rec(f"ladder/C{tag}Q{cotag}", "C/Q cross bracket",
-            c[f"C{tag}"].commutator(c[f"Q{cotag}"]),
-            c[f"A{cotag}"].scale(-s * scalar(4) * g) + c[f"C{cotag}"].scale(-s * four_lam))
+    out = [record("ladder/Q-Q+", "Q pair bracket against H and the first integral",
+                  c["Q-"].commutator(c["Q+"]),
+                  (c["H"].scale(LAM) - _r1_differential().scale(2 * G) + 3 * LAM * LAM).scale(8))]
+    for ident, anchor, x, y, rhs, *note in _LADDER_TABLE:
+        out.append(record(f"ladder/{ident}", anchor, c[x].commutator(c[y]), _combine(c, rhs),
+                          *note))
     return out
 
 
@@ -462,15 +464,14 @@ def verify_q_factorization() -> list:
     """Q± factor through the three letter pairs; H is minus the sum of the
     diagonal bilinears."""
     c = catalogue()
-    out = [
+    return [
         record("factor/Q+", "factorization of Q+ through the letters",
                c["Q+"], c["A+"] * c["B+"] * 2 - c["C+"] * c["C+"]),
         record("factor/Q-", "factorization of Q- through the letters",
                c["Q-"], c["A-"] * c["B-"] * 2 - c["C-"] * c["C-"]),
         record("factor/H+U+T", "H expressed through the diagonal bilinears",
-               c["H"] + c["U"] + c["T"], WeylOperator({}, SPACE_ZZB)),
+               c["H"] + c["U"] + c["T"], 0),
     ]
-    return out
 
 
 _NINE_TABLE = {
@@ -526,13 +527,6 @@ _H_TABLE = {
 }
 
 
-def _combine(c, table) -> WeylOperator:
-    acc = WeylOperator({}, SPACE_ZZB)
-    for name, coeff in table.items():
-        acc = acc + c[name].scale(coeff)
-    return acc
-
-
 def verify_nine_dim_algebra() -> list:
     """All 36 pairwise brackets of the nine bilinears, their 9 brackets with
     H, and the 9 differential-realization identities."""
@@ -565,7 +559,7 @@ def verify_gl3() -> list:
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 for l in (1, 2, 3):
-                    rhs = WeylOperator({}, SPACE_ZZB)
+                    rhs = 0
                     if j == k:
                         rhs = rhs + c[f"E{i}{l}"]
                     if i == l:
@@ -575,9 +569,9 @@ def verify_gl3() -> list:
                         "gl(3) structure constants",
                         c[f"E{i}{j}"].commutator(c[f"E{k}{l}"]), rhs))
     casimir_rhs = (c["H"] - c["R"].scale(G * G / LAM ** 2) - c["V"].scale(G / LAM)
-                   + _ID.scale(scalar(3) * LAM)).scale(ONE / (scalar(2) * LAM))
+                   + 3 * LAM).scale(ONE / (2 * LAM))
     out.append(record("gl3/casimir", "linear Casimir as a combination of commuting integrals",
-                      c["E11"] + c["E22"] + c["E33"], casimir_rhs))
+                      casimir_operator(), casimir_rhs))
     return out
 
 
@@ -626,11 +620,10 @@ def verify_boson_layer() -> list:
                  + (a1 * a3).scale(2) - (a2 * a3).scale(scalar(2) * I)).scale(scalar(2) * LAM)
         out.append(record(f"boson/Q{tag}", "boson form of the double-step ladder operator",
                           op(f"Q{tag}"), q_rhs))
-    bp = {k: b[k] for k in ("a1+", "a2+", "a3+", "a1-", "a2-", "a3-")}
-    h_rhs = (bp["a1+"] * bp["a1-"] + (bp["a2+"] * bp["a2-"]).scale(2)
-             + (bp["a1+"] * bp["a2-"] + bp["a2+"] * bp["a1-"]).scale(I)
-             - (bp["a1+"] * bp["a3-"] + bp["a3+"] * bp["a1-"])
-             + (bp["a2+"] * bp["a3-"] + bp["a3+"] * bp["a2-"]).scale(I)
+    h_rhs = (b["a1+"] * b["a1-"] + (b["a2+"] * b["a2-"]).scale(2)
+             + (b["a1+"] * b["a2-"] + b["a2+"] * b["a1-"]).scale(I)
+             - (b["a1+"] * b["a3-"] + b["a3+"] * b["a1-"])
+             + (b["a2+"] * b["a3-"] + b["a3+"] * b["a2-"]).scale(I)
              ).scale(scalar(2) * LAM)
     out.append(record("boson/H", "boson form of the Hamiltonian",
                       op("H"), h_rhs))
@@ -772,14 +765,11 @@ def verify_integrals_cubic_algebra() -> list:
     cubic brackets, the computed bracket of the zeroth and third integrals,
     and the bilinear re-expressions."""
     c = catalogue()
-    out = []
-    zero = WeylOperator({}, SPACE_ZZB)
-    for i in range(4):
-        out.append(record(f"integrals/H-R{i}", "integrals commute with H",
-                          c["H"].commutator(c[f"R{i}"]), zero))
+    out = [record(f"integrals/H-R{i}", "integrals commute with H",
+                  c["H"].commutator(c[f"R{i}"]), 0) for i in range(4)]
     r0sq = c["R0"] * c["R0"]
     out.append(record("integrals/R0R1", "lowest pair commutes",
-                      c["R0"].commutator(c["R1"]), zero))
+                      c["R0"].commutator(c["R1"]), 0))
     out.append(record("integrals/R0R2", "quadratic bracket",
                       c["R0"].commutator(c["R2"]), r0sq.scale(scalar(-4) * LAM)))
     out.append(record("integrals/R1R2", "quadratic bracket",

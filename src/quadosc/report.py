@@ -64,17 +64,18 @@ class VerificationReport:
             if r.note:
                 entry["note"] = r.note
             records.append(entry)
-        verified = sum(1 for _, r in self.records if r.ok)
         return {
             "suite": self.suite,
             "environment": {"version": _VERSION, "parameter_mode": "symbolic"},
             "records": records,
-            "summary": {
-                "total": len(self.records),
-                "verified": verified,
-                "failed": len(self.records) - verified,
-            },
+            "summary": self.summary(),
         }
+
+    def summary(self) -> dict:
+        """Record counts: total, verified and failed."""
+        verified = sum(1 for _, r in self.records if r.ok)
+        return {"total": len(self.records), "verified": verified,
+                "failed": len(self.records) - verified}
 
     def write_json(self, path: str, timing: bool = False):
         with open(path, "w") as fh:

@@ -216,8 +216,10 @@ class WeylOperator(SparseTerms):
     def _coerce(self, other):
         if isinstance(other, WeylOperator):
             return other
-        if isinstance(other, (int, ParamScalar)):
-            return identity_op(self.space).scale(other)
+        if isinstance(other, int):
+            other = ParamScalar(other)
+        if isinstance(other, ParamScalar):
+            return self._new({self._UNIT: other})   # the scalar 0 is the empty sum
         return None
 
     def __mul__(self, other):

@@ -487,6 +487,25 @@ def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
         "b5f4ca513d5f580d374fe85e3d7f6fe3044e155c65b4e3cbfe8c401a2917f671"
 
 
+def test_verify_all_constructs_one_identity_record_per_reported_record(
+        monkeypatch, tmp_path, capsys):
+    # a helper that builds an IdentityRecord only to read its verdict would
+    # break the traced benchmark's check that constructions equal records
+    built = []
+    init = IdentityRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IdentityRecord, "__init__", counting_init)
+    path = tmp_path / "all.json"
+    run(capsys, "verify", "--suite", "all", "--json", str(path))
+    total = json.loads(path.read_text())["summary"]["total"]
+    assert total == 1120
+    assert len(built) == total
+
+
 def test_state_outputs_match_the_benchmark_references(capsys):
     # the byte gate of `state`, whose output the verify digest does not
     # cover: each "state k n m repr" key of the session references, replayed

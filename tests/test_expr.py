@@ -101,15 +101,31 @@ def test_errors_carry_position():
     ("[H,u]", "operator spaces differ in one expression", 3),
     ("z + u", "operator spaces differ in one expression", 4),
     ("z - 2*u", "operator spaces differ in one expression", 4),
+    ("R4", "unknown name 'R4'", 0),
+    ("H + E14", "unknown name 'E14'", 4),
+    ("[Rt2,H]", "unknown name 'Rt2'", 1),
+    ("2*S1", "unknown name 'S1'", 2),
+    ("E10^2", "unknown name 'E10'", 0),
+    ("x4 + z", "unknown name 'x4'", 0),
+    ("i*H", "unknown name 'i'", 0),
 ], ids=[   # fixed: mending a message keeps the names the cases were collected under
     "1/0-division by zero-2",
     "H/z-division requires a scalar divisor-2",
     "[H,u]-operator spaces differ in one expression-3",
     "z + u-operator spaces differ in one expression-4",
     "z - 2*u-operator spaces differ in one expression-4",
+    "R4-unknown name-0",
+    "H + E14-unknown name-4",
+    "[Rt2,H]-unknown name-1",
+    "2*S1-unknown name-2",
+    "E10^2-unknown name-0",
+    "x4 + z-unknown name-0",
+    "i*H-unknown name-0",
 ])
 def test_evaluation_errors_point_at_the_offending_token(text, message, pos):
-    # the divisor, the second bracket operand, the sum term that does not fit
+    # the divisor, the second bracket operand, the sum term that does not fit,
+    # a word next to a known name that is none: the parser's names are exactly
+    # the catalogue's keys, the generators and the scalars
     with pytest.raises(E.ExprError) as err:
         E.evaluate(text)
     assert str(err.value) == f"{message} (at position {pos})"
