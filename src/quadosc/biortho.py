@@ -295,19 +295,19 @@ def verify_orthogonalization(max_k: int, max_n: int) -> list:
 
 
 _REFERENCE_PHI = {
-    (0, 1): {1: {0: lambda: -ONE / (2 * LAM)}},
+    (0, 1): {1: {0: -ONE / (2 * LAM)}},
     (0, 2): {
-        1: {0: lambda: -ONE / (2 * LAM)},
-        2: {0: lambda: ONE / (6 * LAM ** 2), 1: lambda: -ONE / (2 * LAM)},
-        3: {0: lambda: ONE / (48 * LAM ** 3), 1: lambda: -ONE / (24 * LAM ** 2)},
+        1: {0: -ONE / (2 * LAM)},
+        2: {0: ONE / (6 * LAM ** 2), 1: -ONE / (2 * LAM)},
+        3: {0: ONE / (48 * LAM ** 3), 1: -ONE / (24 * LAM ** 2)},
     },
     (0, 3): {
-        1: {0: lambda: -ONE / (2 * LAM)},
-        2: {0: lambda: scalar(Fraction(3, 20)) / LAM ** 2, 1: lambda: -ONE / (2 * LAM)},
-        3: {0: lambda: -ONE / (30 * LAM ** 3), 1: lambda: scalar(Fraction(3, 20)) / LAM ** 2,
-            2: lambda: -ONE / (2 * LAM)},
-        4: {0: lambda: -ONE / (300 * LAM ** 4), 1: lambda: ONE / (60 * LAM ** 3),
-            2: lambda: -ONE / (20 * LAM ** 2)},
+        1: {0: -ONE / (2 * LAM)},
+        2: {0: scalar(Fraction(3, 20)) / LAM ** 2, 1: -ONE / (2 * LAM)},
+        3: {0: -ONE / (30 * LAM ** 3), 1: scalar(Fraction(3, 20)) / LAM ** 2,
+            2: -ONE / (2 * LAM)},
+        4: {0: -ONE / (300 * LAM ** 4), 1: ONE / (60 * LAM ** 3),
+            2: -ONE / (20 * LAM ** 2)},
     },
 }
 
@@ -324,7 +324,7 @@ def verify_reference_phi_blocks() -> list:
             row = [ZERO] * (m + 1)
             row[m] = ONE
             for mp, cf in rows_spec.get(m, {}).items():
-                row[mp] = cf()
+                row[mp] = cf
             rows.append(tuple(row))
         ok = _phi_gram_is_antidiagonal(block, rows)
         out.append(check(f"biortho/phi-reference-{k}-{n}",

@@ -25,8 +25,8 @@ must be a nonzero unit times a monomial, as in ``1/(2*lam)``; any other
 divisor, such as ``lam - g``, raises a ``ValueError`` that names it.  A zero
 divisor raises ``ZeroDivisionError``.
 
-``render`` and ``evaluate`` read the classical pair: a numerator with
-nonnegative exponents over the monomial lam^a*g^b.
+``render`` reads the classical pair: a numerator with nonnegative exponents
+over the monomial lam^a*g^b.
 """
 
 from __future__ import annotations
@@ -326,23 +326,6 @@ class ParamScalar:
                for (a, b), (x, y) in num.items()]
         out.sort(key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
         return out, (s_lam, s_g)
-
-    def evaluate(self, lam0, g0) -> "ParamScalar":
-        """Exact substitution lam -> lam0, g -> g0, each an int, a Fraction or
-        a constant ParamScalar such as ``1 + I/2``; the value is a constant."""
-        point = _as_scalar(lam0), _as_scalar(g0)
-        if any(v is None or v._constant_part() is None for v in point):
-            raise TypeError(f"cannot evaluate at the non-constant point ({lam0!r}, {g0!r})")
-        lam_v, g_v = point
-        num, (s_lam, s_g) = self._parts()
-        den_v = lam_v ** s_lam * g_v ** s_g
-        if not den_v:
-            raise ZeroDivisionError(
-                f"pole: denominator vanishes at (lam, g) = ({lam0}, {g0})")
-        total = ZERO
-        for (a, b), (re, im) in num:
-            total = total + (re + I * im) * lam_v ** a * g_v ** b
-        return total / den_v
 
     def __repr__(self):
         return f"ParamScalar({self.render()!r})"

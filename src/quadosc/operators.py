@@ -120,17 +120,60 @@ def _r1_differential() -> WeylOperator:
     return (_DZ * _D3).scale(2) + (_ZB * _ZB).scale(LAM * G) + (_ZB * _X3).scale(-LAM * LAM)
 
 
-_BILINEAR_DEFS = {
-    "R": lambda c: c["A+"] * c["A-"],
-    "S": lambda c: c["B+"] * c["B-"],
-    "T": lambda c: c["C+"] * c["C-"],
-    "U": lambda c: c["A+"] * c["B-"] + c["B+"] * c["A-"],
-    "V": lambda c: c["A+"] * c["C-"] + c["C+"] * c["A-"],
-    "W": lambda c: c["B+"] * c["C-"] + c["C+"] * c["B-"],
-    "X": lambda c: c["A+"] * c["B-"] - c["B+"] * c["A-"],
-    "Y": lambda c: c["A+"] * c["C-"] - c["C+"] * c["A-"],
-    "Z": lambda c: c["B+"] * c["C-"] - c["C+"] * c["B-"],
+# The bilinears and the gl(3) generators are combinations of the nine ladder
+# products X+ * Y-, keyed "XY"; "1" names the identity.
+_BILINEARS = {
+    "R": {"AA": 1}, "S": {"BB": 1}, "T": {"CC": 1},
+    "U": {"AB": 1, "BA": 1}, "V": {"AC": 1, "CA": 1}, "W": {"BC": 1, "CB": 1},
+    "X": {"AB": 1, "BA": -1}, "Y": {"AC": 1, "CA": -1}, "Z": {"BC": 1, "CB": -1},
 }
+
+_GL3_FROM_LADDERS = {
+    "E11": {"CC": -1 / (2 * LAM), "1": _HALF},
+    "E22": {"BB": LAM / (2 * G * G), "CC": 1 / (2 * LAM), "BC": 1 / (2 * G),
+            "CB": 1 / (2 * G), "1": _HALF},
+    "E33": {"AA": -G * G / (2 * LAM ** 3), "BB": -LAM / (2 * G * G), "CC": -1 / (2 * LAM),
+            "AB": -1 / (2 * LAM), "BA": -1 / (2 * LAM), "AC": -G / (2 * LAM * LAM),
+            "CA": -G / (2 * LAM * LAM), "BC": -1 / (2 * G), "CB": -1 / (2 * G), "1": _HALF},
+    "E12": {"CC": I / (2 * LAM), "CB": I / (2 * G)},
+    "E21": {"CC": I / (2 * LAM), "BC": I / (2 * G)},
+    "E13": {"CC": -1 / (2 * LAM), "CB": -1 / (2 * G), "CA": -G / (2 * LAM * LAM)},
+    "E31": {"CC": -1 / (2 * LAM), "BC": -1 / (2 * G), "AC": -G / (2 * LAM * LAM)},
+    "E23": {"BB": I * LAM / (2 * G * G), "CC": I / (2 * LAM), "BA": I / (2 * LAM),
+            "BC": I / (2 * G), "CA": I * G / (2 * LAM * LAM), "CB": I / (2 * G)},
+    "E32": {"BB": I * LAM / (2 * G * G), "CC": I / (2 * LAM), "AB": I / (2 * LAM),
+            "CB": I / (2 * G), "AC": I * G / (2 * LAM * LAM), "BC": I / (2 * G)},
+}
+
+# The same generators over the bilinears, an independent statement that
+# gl3/double-* compares with the one above
+_GL3_FROM_BILINEARS = {
+    "E11": {"T": -1 / (2 * LAM), "1": _HALF},
+    "E22": {"S": LAM / (2 * G * G), "T": 1 / (2 * LAM), "W": 1 / (2 * G), "1": _HALF},
+    "E33": {"R": -G * G / (2 * LAM ** 3), "S": -LAM / (2 * G * G), "T": -1 / (2 * LAM),
+            "U": -1 / (2 * LAM), "V": -G / (2 * LAM * LAM), "W": -1 / (2 * G), "1": _HALF},
+    "E12": {"T": I / (2 * LAM), "W": I / (4 * G), "Z": -I / (4 * G)},
+    "E21": {"T": I / (2 * LAM), "W": I / (4 * G), "Z": I / (4 * G)},
+    "E13": {"T": -1 / (2 * LAM), "V": -G / (4 * LAM * LAM), "W": -1 / (4 * G),
+            "Y": G / (4 * LAM * LAM), "Z": 1 / (4 * G)},
+    "E31": {"T": -1 / (2 * LAM), "V": -G / (4 * LAM * LAM), "W": -1 / (4 * G),
+            "Y": -G / (4 * LAM * LAM), "Z": -1 / (4 * G)},
+    "E23": {"S": I * LAM / (2 * G * G), "T": I / (2 * LAM), "U": I / (4 * LAM),
+            "V": I * G / (4 * LAM * LAM), "W": I / (2 * G), "X": -I / (4 * LAM),
+            "Y": -I * G / (4 * LAM * LAM)},
+    "E32": {"S": I * LAM / (2 * G * G), "T": I / (2 * LAM), "U": I / (4 * LAM),
+            "V": I * G / (4 * LAM * LAM), "W": I / (2 * G), "X": I / (4 * LAM),
+            "Y": I * G / (4 * LAM * LAM)},
+}
+
+
+def _combine(c, table):
+    """The sum of coefficient * ``c[name]`` over ``table``, with "1" read as
+    the identity; the empty table is the scalar 0."""
+    acc = 0
+    for name, coeff in table.items():
+        acc = acc + (_ID if name == "1" else c[name]).scale(coeff)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +186,9 @@ def catalogue():
         "C+": _c(+1), "C-": _c(-1),
         "Q+": _q(+1), "Q-": _q(-1),
     }
-    for name, build in _BILINEAR_DEFS.items():
-        cat[name] = build(cat)
-    # gl(3) generators in terms of the ladder bilinears
-    cat.update(_gl3_from_ladders(cat))
+    products = {x + y: cat[f"{x}+"] * cat[f"{y}-"] for x in "ABC" for y in "ABC"}
+    for table in (_BILINEARS, _GL3_FROM_LADDERS):
+        cat.update((name, _combine(products, row)) for name, row in table.items())
     # integrals of motion, from their defining combinations
     H, Qp, Qm, Ap, Am = cat["H"], cat["Q+"], cat["Q-"], cat["A+"], cat["A-"]
     r0 = Ap * Am
@@ -164,74 +206,11 @@ def op(name: str) -> WeylOperator:
     return catalogue()[name]
 
 
-def _gl3_from_ladders(c) -> dict:
-    """gl(3) generators built directly from products of the six ladder ops."""
-    # XY is the product X+ * Y-; each of the nine is formed once
-    AA, AB, AC, BA, BB, BC, CA, CB, CC = (c[f"{x}+"] * c[f"{y}-"] for x in "ABC" for y in "ABC")
-    lam, g = LAM, G
-    half = _HALF
-    e = {}
-    e["E11"] = CC.scale(-ONE / (2 * lam)) + _ID.scale(half)
-    e["E22"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
-                + (BC + CB).scale(ONE / (2 * g)) + _ID.scale(half))
-    e["E33"] = (AA.scale(-g * g / (2 * lam ** 3))
-                + BB.scale(-lam / (2 * g * g))
-                + CC.scale(-ONE / (2 * lam))
-                + (AB + BA).scale(-ONE / (2 * lam))
-                + (AC + CA).scale(-g / (2 * lam * lam))
-                + (BC + CB).scale(-ONE / (2 * g))
-                + _ID.scale(half))
-    e["E12"] = (CC.scale(ONE / (2 * lam)) + CB.scale(ONE / (2 * g))).scale(I)
-    e["E21"] = (CC.scale(ONE / (2 * lam)) + BC.scale(ONE / (2 * g))).scale(I)
-    e["E13"] = (CC.scale(-ONE / (2 * lam)) + CB.scale(-ONE / (2 * g))
-                + CA.scale(-g / (2 * lam * lam)))
-    e["E31"] = (CC.scale(-ONE / (2 * lam)) + BC.scale(-ONE / (2 * g))
-                + AC.scale(-g / (2 * lam * lam)))
-    e["E23"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
-                + BA.scale(ONE / (2 * lam)) + BC.scale(ONE / (2 * g))
-                + CA.scale(g / (2 * lam * lam))
-                + CB.scale(ONE / (2 * g))).scale(I)
-    e["E32"] = (BB.scale(lam / (2 * g * g)) + CC.scale(ONE / (2 * lam))
-                + AB.scale(ONE / (2 * lam)) + CB.scale(ONE / (2 * g))
-                + AC.scale(g / (2 * lam * lam))
-                + BC.scale(ONE / (2 * g))).scale(I)
-    return e
-
-
 def gl3_from_bilinears() -> dict:
     """The alternative construction of the gl(3) generators as combinations of
     the nine bilinears; must coincide with the ladder-product construction."""
     c = catalogue()
-    R, S, T, U, V, W, X, Y, Z = (c[k] for k in "RSTUVWXYZ")
-    lam, g = LAM, G
-    half = _HALF
-    e = {}
-    e["E11"] = T.scale(-ONE / (2 * lam)) + _ID.scale(half)
-    e["E22"] = (S.scale(lam / (2 * g * g)) + T.scale(ONE / (2 * lam))
-                + W.scale(ONE / (2 * g)) + _ID.scale(half))
-    e["E33"] = (R.scale(-g * g / (2 * lam ** 3)) + S.scale(-lam / (2 * g * g))
-                + T.scale(-ONE / (2 * lam)) + U.scale(-ONE / (2 * lam))
-                + V.scale(-g / (2 * lam * lam)) + W.scale(-ONE / (2 * g))
-                + _ID.scale(half))
-    e["E12"] = (T.scale(ONE / (2 * lam)) + W.scale(ONE / (4 * g))
-                + Z.scale(-ONE / (4 * g))).scale(I)
-    e["E21"] = (T.scale(ONE / (2 * lam)) + W.scale(ONE / (4 * g))
-                + Z.scale(ONE / (4 * g))).scale(I)
-    e["E13"] = (T.scale(-ONE / (2 * lam)) + V.scale(-g / (4 * lam * lam))
-                + W.scale(-ONE / (4 * g)) + Y.scale(g / (4 * lam * lam))
-                + Z.scale(ONE / (4 * g)))
-    e["E31"] = (T.scale(-ONE / (2 * lam)) + V.scale(-g / (4 * lam * lam))
-                + W.scale(-ONE / (4 * g)) + Y.scale(-g / (4 * lam * lam))
-                + Z.scale(-ONE / (4 * g)))
-    e["E23"] = (S.scale(lam / (2 * g * g)) + T.scale(ONE / (2 * lam))
-                + U.scale(ONE / (4 * lam)) + V.scale(g / (4 * lam * lam))
-                + W.scale(ONE / (2 * g)) + X.scale(-ONE / (4 * lam))
-                + Y.scale(-g / (4 * lam * lam))).scale(I)
-    e["E32"] = (S.scale(lam / (2 * g * g)) + T.scale(ONE / (2 * lam))
-                + U.scale(ONE / (4 * lam)) + V.scale(g / (4 * lam * lam))
-                + W.scale(ONE / (2 * g)) + X.scale(ONE / (4 * lam))
-                + Y.scale(g / (4 * lam * lam))).scale(I)
-    return e
+    return {name: _combine(c, row) for name, row in _GL3_FROM_BILINEARS.items()}
 
 
 def bilinear_differential_forms() -> dict:
@@ -386,15 +365,6 @@ def boson() -> dict:
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
-
-def _combine(c, table):
-    """The sum of coefficient * ``c[name]`` over ``table``, with "1" read as
-    the identity; the empty table is the scalar 0."""
-    acc = 0
-    for name, coeff in table.items():
-        acc = acc + (_ID if name == "1" else c[name]).scale(coeff)
-    return acc
-
 
 # (id, anchor, X, Y, [X, Y] as {catalogue name: coefficient}, optional note);
 # the id is prefixed with "ladder/", and "1" names the identity

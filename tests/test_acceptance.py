@@ -131,11 +131,11 @@ def test_criterion_10_biorthogonalization():
     # the published coefficient values appear verbatim in the reference table
     r = B._REFERENCE_PHI
     values_ok = (
-        r[(0, 1)][1][0]() == -ONE / (2 * LAM)
-        and r[(0, 2)][2][0]() == ONE / (6 * LAM ** 2)
-        and r[(0, 2)][3][0]() == ONE / (48 * LAM ** 3)
-        and r[(0, 3)][2][0]() == scalar(Fraction(3, 20)) / LAM ** 2
-        and r[(0, 3)][4][0]() == -ONE / (300 * LAM ** 4)
+        r[(0, 1)][1][0] == -ONE / (2 * LAM)
+        and r[(0, 2)][2][0] == ONE / (6 * LAM ** 2)
+        and r[(0, 2)][3][0] == ONE / (48 * LAM ** 3)
+        and r[(0, 3)][2][0] == scalar(Fraction(3, 20)) / LAM ** 2
+        and r[(0, 3)][4][0] == -ONE / (300 * LAM ** 4)
     )
     # NOTE: the blocks (1, 0) and (0, 2) share the energy 4*lam, and exactly
     # one of their cross pairings is nonzero: Q+ Psi0 against the chain top

@@ -127,6 +127,39 @@ def test_suites_never_import_sympy():
     assert proc.stderr == "error: cannot divide by lam - g: not a unit times a monomial\n"
 
 
+def test_benchmark_tracer_installs_and_counts_every_record(tmp_path):
+    # perfbench/spans.py wraps package names from outside (SqrtTwoLamOperator,
+    # gaussian_state_to_creation, Poly3's own substitute, weyl._REORDER_CACHE
+    # among them); a refactor that drops or renames one fails here, not only
+    # in a traced benchmark run
+    reports = [str(tmp_path / "ladder.json"), str(tmp_path / "biortho.json")]
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        sys.path[:0] = ["perfbench", "src"]
+        import spans
+        from quadosc import cli
+        tracer = spans.install(spans.Tracer())
+        reports = {reports!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", "ladder", "--json", reports[0]]) == 0
+            # 1: the documented red record
+            assert cli.main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1",
+                             "--json", reports[1]]) == 1
+            assert cli.main(["inner", "Q+", "A+*B+"]) == 0
+            assert cli.main(["state", "--k", "1", "--n", "1", "--m", "2"]) == 0
+        spans.layer_metrics(tracer)
+        reported = 0
+        for path in reports:
+            with open(path) as fh:
+                reported += len(json.load(fh)["records"])
+        assert tracer.records == reported, (tracer.records, reported)
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_python_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "quadosc", "commutator", "[H,Q+] - 4*lam*Q+"],
                           env=_fresh_env(), capture_output=True, text=True, timeout=300)

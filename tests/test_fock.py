@@ -105,6 +105,25 @@ def test_contraction_table_cross_validates():
         assert rec.ok, rec.id
 
 
+def test_contraction_matrix_reads_the_ladder_rows(monkeypatch):
+    rows = {(x, y): rhs for _, _, x, y, rhs, *_ in ops._LADDER_TABLE}
+    K = fock.contraction_matrix()
+    for x, y in itertools.product("ABC", repeat=2):
+        rhs = rows[(f"{x}-", f"{y}+")]
+        assert rhs.keys() <= {"1"}
+        assert K[(x, y)] == rhs.get("1", 0)
+    # a row that is not a constant is refused, not read as one
+    table = tuple(row[:4] + ({"A+": 1},) + row[5:] if row[2:4] == ("A-", "B+") else row
+                  for row in ops._LADDER_TABLE)
+    monkeypatch.setattr(ops, "_LADDER_TABLE", table)
+    fock.contraction_matrix.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"^\[A-, B\+\] is not a constant"):
+            fock.contraction_matrix()
+    finally:
+        fock.contraction_matrix.cache_clear()
+
+
 def test_wick_examples():
     a = CreationPolynomial.word(1, 0, 0)
     b = CreationPolynomial.word(0, 1, 0)

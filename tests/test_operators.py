@@ -24,6 +24,25 @@ def test_catalogue_deterministic():
         assert rebuilt[name].terms == op.terms, name
 
 
+def test_catalogue_forms_each_ladder_product_once(monkeypatch):
+    # the nine products X+ * Y- build the bilinears and the gl(3) generators;
+    # R0 = A+ * A- is the one product formed again, as the integral's own
+    # definition
+    letters = [ops.op(f"{x}{s}") for x in "ABC" for s in "+-"]
+    mul = WeylOperator.__mul__
+    count = 0
+
+    def counted(self, other):
+        nonlocal count
+        if any(self == x for x in letters) and any(other == x for x in letters):
+            count += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(WeylOperator, "__mul__", counted)
+    ops.catalogue.__wrapped__()
+    assert count <= 10
+
+
 def test_ladder_relations_suite():
     assert_all_verified(ops.verify_ladder_relations())
 
