@@ -18,8 +18,9 @@ hashable, and a real constant hashes like its ``Fraction``.
 
 Arithmetic.  ``+``, ``-``, ``*``, powers and conjugation are integer products
 and sums, then one ``math.gcd`` pass over the coefficients.  Powers square
-repeatedly.  The Weyl kernel and the span reduction sum integer maps over a
-common denominator and pay that pass once per result (:func:`_add_times`).
+repeatedly.  The Weyl kernel and the span solver flatten their operands to
+integer rows over a common denominator (:func:`_flatten`), sum the products
+as integers and pay that pass once per result (:func:`_collect`).
 Division and negative powers need an inverse in the ring, so the divisor
 must be a nonzero unit times a monomial, as in ``1/(2*lam)``; any other
 divisor, such as ``lam - g``, raises a ``ValueError`` that names it.  A zero
@@ -136,29 +137,28 @@ def _lcd(values):
     return d
 
 
-def _product_over(a, b, d: int):
-    """(num, s) with a*b = s*num/d, for d a multiple of both denominators."""
-    return _mul_terms(a._num, b._num), d // (a._den[_UNIT][0] * b._den[_UNIT][0])
+def _flatten(terms, d: int):
+    """The values of ``terms`` as (key, rows) pairs, rows the (e_lam, e_g, re,
+    im) of the Laurent map d*value, for d a multiple of every denominator."""
+    out = []
+    for key, c in terms.items():
+        k = d // c._den[_UNIT][0]
+        out.append((key, [(a, b, x * k, y * k) for (a, b), (x, y) in c._num.items()]))
+    return out
 
 
-def _add_times(acc, num, k: int):
-    """acc += k*num for Laurent maps, in place; cancelled terms are dropped."""
-    for m, (x, y) in num.items():
-        if k != 1:
-            x, y = x * k, y * k
-        cur = acc.get(m)
-        if cur is not None:
-            x, y = cur[0] + x, cur[1] + y
-            if not (x or y):
-                del acc[m]
-                continue
-        acc[m] = (x, y)
-
-
-def _minus_product(c, a, b):
-    """c - a*b, canonicalized once: the product stays unreduced till then."""
-    d = a._den[_UNIT][0] * b._den[_UNIT][0]
-    return c._plus(_new(_mul_terms(a._num, b._num), {_UNIT: (d, 0)}), -1)
+def _collect(acc, d: int):
+    """{key: value} from integer sums {(key, (e_lam, e_g)): (re, im)} over d;
+    each value is canonicalized once, and a key whose sums cancel is dropped."""
+    nums = {}
+    for (key, e), c in acc.items():
+        if c[0] or c[1]:
+            num = nums.get(key)
+            if num is None:
+                nums[key] = {e: c}
+            else:
+                num[e] = c
+    return {key: _laurent(num, d) for key, num in nums.items()}
 
 
 class ParamScalar:
@@ -184,15 +184,22 @@ class ParamScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def _plus(self, other, sign: int):
-        """self + sign*other."""
+        """self + sign*other, summed as integers over the common denominator;
+        cancelled terms are dropped."""
         n1, n2 = self._num, other._num
         if not n2:
             return self
         d1, d2 = self._den[_UNIT][0], other._den[_UNIT][0]
         g = gcd(d1, d2)
-        s1 = d2 // g
+        s1, s2 = d2 // g, sign * (d1 // g)
         out = dict(n1) if s1 == 1 else {m: (x * s1, y * s1) for m, (x, y) in n1.items()}
-        _add_times(out, n2, sign * (d1 // g))
+        for m, (x, y) in n2.items():
+            cur = out.get(m, (0, 0))
+            x, y = cur[0] + x * s2, cur[1] + y * s2
+            if x or y:
+                out[m] = (x, y)
+            else:
+                del out[m]
         return _laurent(out, d1 * s1)
 
     def __add__(self, other):
@@ -281,11 +288,12 @@ class ParamScalar:
             return self._hash
         except AttributeError:   # first call: the slot starts unset
             pass
-        c = self._constant_part()
-        if c is not None:
-            h = hash(c) if c[1] else hash(c[0])   # a real one like its Fraction
+        num, d = self._num, self._den[_UNIT][0]
+        if num.keys() <= {_UNIT}:   # a constant; a real one hashes like its Fraction
+            re, im = (Fraction(x, d) for x in num.get(_UNIT, (0, 0)))
+            h = hash((re, im)) if im else hash(re)
         else:
-            h = hash((frozenset(self._num.items()), frozenset(self._den.items())))
+            h = hash((frozenset(num.items()), frozenset(self._den.items())))
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -297,15 +305,6 @@ class ParamScalar:
 
     def is_one(self) -> bool:
         return self._num == ONE._num and self._den == _ONE_DEN
-
-    def _constant_part(self):
-        """(re, im) as Fractions when this value is a constant, else None."""
-        num = self._num
-        if not num.keys() <= {_UNIT}:
-            return None
-        d = self._den[_UNIT][0]
-        re, im = num.get(_UNIT, (0, 0))
-        return Fraction(re, d), Fraction(im, d)
 
     # -- structure ----------------------------------------------------------
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ParamScalar, LAM, G, I, ONE, ZERO, scalar, _is_atomic, _minus_product
-from .weyl import (WeylOperator, SPACE_ZZB, variable, derivative, identity_op)
+from .coeff import (ParamScalar, LAM, G, I, ONE, ZERO, scalar, _is_atomic, _lcd, _flatten,
+                    _collect)
+from .weyl import WeylOperator, SPACE_ZZB, variable, derivative, identity_op, _grlex_key
 
 __all__ = [
     "IdentityRecord", "check", "catalogue", "op", "boson", "SqrtTwoLamOperator",
@@ -30,6 +31,9 @@ _ID = identity_op()
 
 _HALF = scalar(Fraction(1, 2))
 _TWO_LAM = scalar(2) * LAM
+
+_E_NAMES = [f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+_D_NAMES = [f"D{t}{i}{j}" for t in "+-" for i in (1, 2, 3) for j in range(i, 4)]
 
 
 @dataclass
@@ -313,7 +317,10 @@ class SqrtTwoLamOperator:
         return SqrtTwoLamOperator(even, odd)
 
     def __eq__(self, other):
-        other = _as_ext(other)
+        try:
+            other = _as_ext(other)
+        except TypeError:   # a foreign value, as WeylOperator.__eq__ answers it
+            return NotImplemented
         return self.even == other.even and self.odd == other.odd
 
     def is_zero(self) -> bool:
@@ -354,11 +361,9 @@ def boson() -> dict:
         out[f"a1{tag}"] = SqrtTwoLamOperator.s_times(C.scale(I * inv_2lam))
         out[f"a2{tag}"] = SqrtTwoLamOperator.s_times(cb.scale(inv_2lam))
         out[f"a3{tag}"] = SqrtTwoLamOperator.s_times(cba.scale(I * inv_2lam))
-    for tag in ("+", "-"):
-        for i in range(1, 4):
-            for j in range(i, 4):
-                ai, aj = out[f"a{i}{tag}"], out[f"a{j}{tag}"]
-                out[f"D{tag}{i}{j}"] = ai.anticommutator(aj).scale(_HALF)
+    for name in _D_NAMES:   # D±ij = {ai±, aj±}/2
+        tag, i, j = name[1:]
+        out[name] = out[f"a{i}{tag}"].anticommutator(out[f"a{j}{tag}"]).scale(_HALF)
     return out
 
 
@@ -520,9 +525,8 @@ def verify_gl3() -> list:
     identities, and the linear Casimir combination."""
     c = catalogue()
     alt = gl3_from_bilinears()
-    names = [f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     out = []
-    for n in names:
+    for n in _E_NAMES:
         out.append(record(f"gl3/double-{n}", f"two constructions of {n} agree",
                           c[n], alt[n]))
     for i in (1, 2, 3):
@@ -617,66 +621,64 @@ def verify_boson_layer() -> list:
 def _span_basis() -> list:
     """Spanning set {1, E_ij, D±_ij} of the even quadratic algebra."""
     b, c = boson(), catalogue()
-    basis = [("1", SqrtTwoLamOperator.of(_ID))]
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            basis.append((f"E{i}{j}", SqrtTwoLamOperator.of(c[f"E{i}{j}"])))
-    for tag in ("+", "-"):
-        for i in range(1, 4):
-            for j in range(i, 4):
-                basis.append((f"D{tag}{i}{j}", b[f"D{tag}{i}{j}"]))
-    return basis
+    return ([("1", SqrtTwoLamOperator.of(_ID))]
+            + [(n, SqrtTwoLamOperator.of(c[n])) for n in _E_NAMES] + [(n, b[n]) for n in _D_NAMES])
 
 
 class SpanSolver:
-    """Exact membership oracle for the linear span of a fixed operator set.
-
-    The basis is brought to echelon form once: each row vanishes at every
-    earlier pivot, so a query is a single reduction pass over the rows in
-    order.  Coefficient bookkeeping recovers the certificate.
+    """Exact membership oracle for the span of a fixed operator set whose
+    even parts fill the monomials they use, as {1, E_ij, D±_ij} fill the
+    constant and the 21 quadratic monomials.  Gauss-Jordan elimination makes
+    each row one monomial and its combination of basis names: ``rows`` is the
+    inverse of the basis matrix, as integer rows over one denominator ``den``.
     """
 
     def __init__(self, basis):
         self.basis = list(basis)
-        self.rows = []          # (pivot monomial, vector dict, combo dict)
+        rows = []   # (pivot, vec, combo); vec is 1 at its pivot, 0 at earlier ones
         for name, ext in self.basis:
-            vec = dict(ext.even.terms)
-            combo = {name: ONE}
-            self._reduce(vec, combo)
-            if vec:
-                pivot = max(vec, key=lambda m: (sum(m), m))
-                inv = ONE / vec[pivot]
-                vec = {m: c * inv for m, c in vec.items()}
-                combo = {n: c * inv for n, c in combo.items()}
-                self.rows.append((pivot, vec, combo))
-
-    def _reduce(self, vec, combo):
-        for pivot, rvec, rcombo in self.rows:
-            f = vec.get(pivot)
-            if f is not None and not f.is_zero():
-                _sub_scaled(vec, rvec, f)
-                _sub_scaled(combo, rcombo, f)
+            row = (None, dict(ext.even.terms), {name: ONE})
+            for other in rows:
+                _eliminate(row, other)
+            if row[1]:
+                pivot = max(row[1], key=_grlex_key)
+                inv = ONE / row[1][pivot]
+                rows.append((pivot, *({k: c * inv for k, c in part.items()} for part in row[1:])))
+        for i in reversed(range(len(rows))):   # back substitution: 0 at every other pivot
+            for other in rows[:i]:
+                _eliminate(other, rows[i])
+        if any(len(vec) > 1 for _, vec, _ in rows):
+            raise ValueError("the span does not fill the monomials it uses")
+        self.den = _lcd([c for _, _, combo in rows for c in combo.values()])
+        self.rows = {pivot: _flatten(combo, self.den) for pivot, _, combo in rows}
 
     def express(self, target: "SqrtTwoLamOperator"):
         """Coefficients {name: scalar} with target = sum, or None."""
-        if not target.odd.is_zero():
+        terms = target.even.terms
+        if not target.odd.is_zero() or not terms.keys() <= self.rows.keys():
             return None
-        vec = dict(target.even.terms)
-        combo = {}
-        self._reduce(vec, combo)
-        if vec:
-            return None
-        return {n: -c for n, c in combo.items() if not c.is_zero()}
+        d = _lcd(terms.values())
+        acc = {}
+        for m, c in _flatten(terms, d):
+            for name, entries in self.rows[m]:
+                for a, b, x, y in c:
+                    for p, q, u, v in entries:
+                        key = (name, (a + p, b + q))
+                        re, im = x * u - y * v, x * v + y * u
+                        cur = acc.get(key)
+                        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+        return _collect(acc, d * self.den)
 
 
-def _sub_scaled(acc: dict, other: dict, factor):
-    """acc -= factor*other, each entry canonicalized once."""
-    for k, v in other.items():
-        nv = _minus_product(acc.get(k, ZERO), factor, v)
-        if nv.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
+def _eliminate(row, other):
+    """row -= f*other in place, f being row's entry at other's pivot."""
+    f = row[1].get(other[0])
+    if f is not None:
+        for acc, part in zip(row[1:], other[1:]):
+            for k, v in part.items():
+                nv = acc.pop(k, ZERO) - f * v
+                if nv:
+                    acc[k] = nv
 
 
 def _certificate(coeffs) -> str:
@@ -705,14 +707,11 @@ def verify_sp6_osp16_closure() -> list:
         note = "" if coeffs is None else f"= {_certificate(coeffs)}"
         out.append(check(ident, anchor, coeffs is not None, target, note, ms))
 
-    e_names = [f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    d_names = [f"D{t}{i}{j}" for t in ("+", "-") for i in range(1, 4) for j in range(i, 4)]
-    for en in e_names:
-        for dn in d_names:
+    for en in _E_NAMES:
+        for dn in _D_NAMES:
             member(f"sp6/[{en},{dn}]", "even part closes under brackets",
                    lambda: c[en].commutator(b[dn]))
-    minus = [d for d in d_names if d.startswith("D-")]
-    plus = [d for d in d_names if d.startswith("D+")]
+    plus, minus = _D_NAMES[:6], _D_NAMES[6:]
     for dm in minus:
         for dp in plus:
             member(f"sp6/[{dm},{dp}]", "mixed quadratic brackets close",

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 
 from .coeff import (ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic,
-                    _lcd, _product_over, _add_times, _laurent)
+                    _lcd, _flatten, _collect)
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
@@ -316,21 +316,23 @@ def _contract(terms1, terms2, expand, *args):
     pair's normal-ordered expansion as (monomial, int weight) pairs, in
     Gaussian integers over the common denominator d1*d2 of the two operands'
     integer denominators: each output coefficient is canonicalized once."""
+    if not terms1 or not terms2:
+        return {}
     d1, d2 = _lcd(terms1.values()), _lcd(terms2.values())
+    flat2 = _flatten(terms2, d2)
     acc = {}
-    for m1, c1 in terms1.items():
-        for m2, c2 in terms2.items():
+    for m1, c1 in _flatten(terms1, d1):
+        for m2, c2 in flat2:
             pairs = expand(m1, m2, *args)
             if pairs:
-                n12, s = _product_over(c1, c2, d1 * d2)
-                for m, k in pairs:
-                    if m in acc:
-                        _add_times(acc[m], n12, k * s)
-                    else:   # a copy: later pairs add into it in place
-                        k *= s
-                        acc[m] = dict(n12) if k == 1 else {e: (x * k, y * k)
-                                                           for e, (x, y) in n12.items()}
-    return {m: _laurent(sums, d1 * d2) for m, sums in acc.items() if sums}
+                for a, b, x, y in c1:
+                    for p, q, u, v in c2:
+                        e, re, im = (a + p, b + q), x * u - y * v, x * v + y * u
+                        for m, k in pairs:
+                            cur = acc.get((m, e))
+                            acc[m, e] = ((re * k, im * k) if cur is None
+                                         else (cur[0] + re * k, cur[1] + im * k))
+    return _collect(acc, d1 * d2)
 
 
 # a dict, not lru_cache: the benchmark's tracer reads its size as the miss count

@@ -3,11 +3,12 @@ gl(3), the boson layer, and the integrals of motion."""
 
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quadosc.coeff import LAM, G, I, ONE, scalar
+from quadosc.coeff import LAM, G, I, ONE, ParamScalar, scalar
 from quadosc.weyl import WeylOperator, SPACE_ZZB, identity_op
-from quadosc import operators as ops
+from quadosc import coeff, operators as ops
 
 
 def assert_all_verified(records):
@@ -153,6 +154,16 @@ def test_extension_bracket_with_mixed_operands(x, w, k):
         assert left.anticommutator(right) == left * right + right * left
 
 
+def test_extension_equality_with_foreign_values():
+    # a value the extension cannot lift is unequal, as for a WeylOperator
+    a1p, one = ops.boson()["a1+"], ops.SqrtTwoLamOperator.of(identity_op())
+    for foreign in (None, "a1+", 1.5):
+        assert not a1p == foreign and a1p != foreign
+        assert (identity_op() == foreign) is False
+    # values it can lift still compare, from either side
+    assert one == 1 and 1 == one and a1p != 0 and a1p == a1p.scale(ONE)
+
+
 def test_sqrt_extension_ring():
     s = ops.SqrtTwoLamOperator.s_times(identity_op())
     assert s * s == ops.SqrtTwoLamOperator.of(identity_op().scale(2 * LAM))
@@ -200,6 +211,9 @@ def test_span_solver_rejects_outsiders():
     c = ops.catalogue()
     cubic = ops.SqrtTwoLamOperator.of(c["A+"] * c["A+"] * c["A+"])
     assert ops.SpanSolver(ops._span_basis()).express(cubic) is None
+    # a set whose span does not fill the monomials it uses has no inverse table
+    with pytest.raises(ValueError):
+        ops.SpanSolver([("AB", ops.SqrtTwoLamOperator.of(c["A+"] * c["B+"]))])
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -222,3 +236,69 @@ def test_span_solver_rows_are_independent():
     # certificate is the unique coefficient vector
     solver = ops.SpanSolver(ops._span_basis())
     assert len(solver.rows) == len(solver.basis) == 22
+
+
+def _sp6_certificates(monkeypatch):
+    """The solver of verify_sp6_osp16_closure and the targets it expresses."""
+    express, seen = ops.SpanSolver.express, []
+
+    def recorded(self, target):
+        seen.append((self, target))
+        return express(self, target)
+
+    monkeypatch.setattr(ops.SpanSolver, "express", recorded)
+    assert_all_verified(ops.verify_sp6_osp16_closure())
+    monkeypatch.undo()
+    return seen[0][0], [target for _, target in seen]
+
+
+def _recombined(solver, coeffs):
+    """sum of c_n * basis_n, by the extension's arithmetic."""
+    basis = dict(solver.basis)
+    return sum((basis[n].scale(c) for n, c in coeffs.items()), ops.SqrtTwoLamOperator())
+
+
+def _table_errors(solver, targets):
+    """Targets whose certificate does not recombine to them, and table rows
+    whose combination is not their own monomial (B times its inverse is 1)."""
+    bad = [t for t in targets if _recombined(solver, solver.express(t)) != t]
+    for mono, row in solver.rows.items():
+        coeffs = {n: coeff._laurent({(a, b): (x, y) for a, b, x, y in entries}, solver.den)
+                  for n, entries in row}
+        if _recombined(solver, coeffs) != WeylOperator({mono: ONE}, SPACE_ZZB):
+            bad.append(mono)
+    return bad
+
+
+def test_span_certificates_recombine_to_their_targets(monkeypatch):
+    # independent of the table: every sp6/osp16 certificate, summed over the
+    # basis, gives back its target, and every row gives back its monomial
+    solver, targets = _sp6_certificates(monkeypatch)
+    assert len(targets) == 207 and len(solver.rows) == 22
+    assert _table_errors(solver, targets) == []
+    # one wrong integer in one table entry is caught
+    mono = next(m for t in targets for m in t.even.terms)
+    (name, entries), *rest = solver.rows[mono]
+    (a, b, x, y), *more = entries
+    monkeypatch.setitem(solver.rows, mono, [(name, [(a, b, x + 1, y), *more]), *rest])
+    assert _table_errors(solver, targets) != []
+
+
+def test_span_express_makes_no_scalar_operator_call(monkeypatch):
+    # a certificate is integer sums over the table, one value built per name
+    solver, targets = _sp6_certificates(monkeypatch)
+    expected = [solver.express(t) for t in targets]
+    calls, built = [], []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        def counted(*args, _name=name, _op=getattr(ParamScalar, name)):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(ParamScalar, name, counted)
+    new = coeff._new
+    monkeypatch.setattr(coeff, "_new", lambda num, den: built.append(num) or new(num, den))
+    got = [solver.express(t) for t in targets]
+    assert calls == []
+    assert len(built) == sum(len(c) for c in got)
+    monkeypatch.undo()
+    assert got == expected

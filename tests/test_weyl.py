@@ -263,6 +263,20 @@ def test_contract_matches_scalar_arithmetic(a, b):
             assert weyl._clean(got) == contract_oracle(x, b, expand, *args)
 
 
+def test_contract_skips_empty_operands(monkeypatch):
+    # an empty operand gives the empty sum at once: no expansion is looked up
+    # and neither operand's coefficients are read
+    def refuse(*args):
+        raise AssertionError("called")
+
+    terms = (Z * DZ + IDENT.scale(I / (2 * LAM))).terms
+    for name in ("_lcd", "_flatten"):
+        monkeypatch.setattr(weyl, name, refuse)
+    for pair in (({}, terms), (terms, {}), ({}, {})):
+        assert weyl._contract(*pair, refuse) == {}
+        assert weyl._contract(*pair, refuse, -1) == {}
+
+
 def test_bracket_kernel_makes_no_scalar_operator_call(monkeypatch):
     # the kernel sums integers and builds one value per output monomial
     # [E12, D+13] cancels to zero; [E12, D+23] = D+13 does not
