@@ -9,6 +9,7 @@ exists).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,11 +289,17 @@ class SqrtTwoLamOperator:
     def __rsub__(self, other):
         return _as_ext(other) + (-self)
 
-    def __mul__(self, other):
+    def _by_parts(self, other, binary):
+        """``binary``, a product or bracket of Weyl operators, extended by parts:
+        s is central and s^2 = 2*lam, so the even part is binary(e1, e2) +
+        2 lam binary(o1, o2) and the odd part binary(e1, o2) + binary(o1, e2)."""
         other = _as_ext(other)
-        even = self.even * other.even + (self.odd * other.odd).scale(_TWO_LAM)
-        odd = self.even * other.odd + self.odd * other.even
+        even = binary(self.even, other.even) + binary(self.odd, other.odd).scale(_TWO_LAM)
+        odd = binary(self.even, other.odd) + binary(self.odd, other.even)
         return SqrtTwoLamOperator(even, odd)
+
+    def __mul__(self, other):
+        return self._by_parts(other, operator.mul)
 
     def __rmul__(self, other):
         return _as_ext(other) * self
@@ -307,14 +314,8 @@ class SqrtTwoLamOperator:
         return self._bracket(other, 1)
 
     def _bracket(self, other, sign):
-        """``self*other + sign*other*self`` by parts, each through the Weyl
-        bracket kernel: s is central, so the even part is [e1,e2] + 2 lam [o1,o2]
-        and the odd part [e1,o2] + [o1,e2]."""
-        other = _as_ext(other)
-        even = (self.even._bracket(other.even, sign)
-                + self.odd._bracket(other.odd, sign).scale(_TWO_LAM))
-        odd = self.even._bracket(other.odd, sign) + self.odd._bracket(other.even, sign)
-        return SqrtTwoLamOperator(even, odd)
+        """``self*other + sign*other*self`` by parts, through the Weyl kernel."""
+        return self._by_parts(other, lambda a, b: a._bracket(b, sign))
 
     def __eq__(self, other):
         try:

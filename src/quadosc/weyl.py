@@ -262,16 +262,15 @@ class WeylOperator(SparseTerms):
 
     def transpose(self) -> "WeylOperator":
         """Integration-by-parts transpose of the bilinear form (no conjugation,
-        variables fixed, each derivative maps to minus itself)."""
+        variables fixed, each derivative maps to minus itself): each term
+        x^a d^d becomes (-1)^|d| d^d x^a, read off :func:`_reorder`."""
         if self.space != SPACE_ZZB:
             raise ValueError("transpose is defined on the zzb space")
-        out = {}
-        for (a, b, c, d, e, f), coeff in self.terms.items():
-            sign = -1 if (d + e + f) % 2 else 1
-            ders = WeylOperator({(0, 0, 0, d, e, f): scalar(sign)}, self.space)
-            vars_ = WeylOperator({(a, b, c, 0, 0, 0): coeff}, self.space)
-            _add_into(out, (ders * vars_).terms)
-        return self._new(out)
+
+        def flipped(m, _unit):
+            pairs = _reorder((0, 0, 0) + m[3:], m[:3] + (0, 0, 0))
+            return [(n, -w) for n, w in pairs] if sum(m[3:]) % 2 else pairs
+        return self._new(_contract(self.terms, {self._UNIT: ONE}, flipped))
 
     def eta_conjugate(self) -> "WeylOperator":
         """Conjugation by the x2-parity operator: the linear swap z <-> zb,
@@ -294,7 +293,7 @@ class WeylOperator(SparseTerms):
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
         """Action on a bare polynomial: x^a d^d sends x^q to q!/(q-d)! x^(q-d+a)
-        in each variable, the fully contracted term of :func:`_reorder`'s formula.
+        in each variable, the fully contracted term of :func:`_expand`'s formula.
         The result has the class of ``poly``, so a state's terms give a state."""
         if self.space != poly.space:
             raise ValueError("operator and polynomial space mismatch")
@@ -335,45 +334,44 @@ def _contract(terms1, terms2, expand, *args):
     return _collect(acc, d1 * d2)
 
 
+def _expand(m1, m2, sign):
+    """Expansion of (m1*m2 + sign*m2*m1) in normal order (sign 0: m1*m2 alone)
+    as (monomial, int weight) pairs, zero weights dropped.  Per variable,
+    d^p x^q = sum_j C(p,j) C(q,j) j! x^(q-j) d^(p-j), so with m = x^v d^d the
+    j-th terms of both orders land on x^(v1+v2-j) d^(d1+d2-j), weighted
+    w1 = prod C(d1,j) C(v2,j) j! and w2 = prod C(d2,j) C(v1,j) j! (math.comb
+    is 0 past its top).  For sign -1 the j = 0 terms cancel: a commuting pair gives [].
+    """
+    tops = [max(min(m1[i + 3], m2[i]), min(m2[i + 3], m1[i]) if sign else 0) for i in range(3)]
+    a, b, c, d, e, f = map(operator.add, m1, m2)
+    out = []
+    for j in _iproduct(*[range(t + 1) for t in tops]):
+        w1 = w2 = 1
+        for i, k in enumerate(j):
+            if k:
+                fact = math.factorial(k)
+                w1 *= math.comb(m1[i + 3], k) * math.comb(m2[i], k) * fact
+                if sign:
+                    w2 *= math.comb(m2[i + 3], k) * math.comb(m1[i], k) * fact
+        if w := w1 + sign * w2:
+            out.append(((a - j[0], b - j[1], c - j[2], d - j[0], e - j[1], f - j[2]), w))
+    return out
+
+
 # a dict, not lru_cache: the benchmark's tracer reads its size as the miss count
 _REORDER_CACHE = {}
 
 
 def _reorder(m1, m2):
-    """Expansion of (m1 * m2) in normal order: list of (monomial, int weight).
-
-    Uses  d^p x^q = sum_j C(p,j) C(q,j) j! x^(q-j) d^(p-j)  independently in
-    each of the three variables.
-    """
-    key = (m1, m2)
-    hit = _REORDER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    v1, d1 = m1[:3], m1[3:]
-    v2, d2 = m2[:3], m2[3:]
-    ranges = [range(min(d1[i], v2[i]) + 1) for i in range(3)]
-    out = []
-    for j in _iproduct(*ranges):
-        w = 1
-        for i in range(3):
-            if j[i]:
-                w *= math.comb(d1[i], j[i]) * math.comb(v2[i], j[i]) * math.factorial(j[i])
-        mono = (v1[0] + v2[0] - j[0], v1[1] + v2[1] - j[1], v1[2] + v2[2] - j[2],
-                d1[0] + d2[0] - j[0], d1[1] + d2[1] - j[1], d1[2] + d2[2] - j[2])
-        out.append((mono, w))
-    _REORDER_CACHE[key] = out
-    return out
+    """:func:`_expand`'s product m1*m2, memoized in ``_REORDER_CACHE``."""
+    hit = _REORDER_CACHE.get((m1, m2))
+    if hit is None:
+        hit = _REORDER_CACHE[m1, m2] = _expand(m1, m2, 0)
+    return hit
 
 
-@lru_cache(maxsize=None)
-def _bracket_terms(m1, m2, sign):
-    """Expansion of (m1*m2 + sign*m2*m1) in normal order: :func:`_reorder`'s
-    two lists with their weights merged and the zeros dropped.  For sign -1
-    the uncontracted (j = 0) terms cancel, so a commuting pair expands to []."""
-    merged = dict(_reorder(m1, m2))
-    for m, w in _reorder(m2, m1):
-        merged[m] = merged.get(m, 0) + sign * w
-    return [(m, w) for m, w in merged.items() if w]
+# the brackets' memo (sign +1 or -1), apart from the products' dict
+_bracket_terms = lru_cache(maxsize=None)(_expand)
 
 
 def identity_op(space=SPACE_ZZB) -> WeylOperator:

@@ -131,7 +131,9 @@ def test_benchmark_tracer_installs_and_counts_every_record(tmp_path):
     # perfbench/spans.py wraps package names from outside (SqrtTwoLamOperator,
     # gaussian_state_to_creation, Poly3's own substitute, weyl._REORDER_CACHE
     # among them); a refactor that drops or renames one fails here, not only
-    # in a traced benchmark run
+    # in a traced benchmark run.  Its ratios must lie in [0, 1]: the reorder
+    # hit ratio counts misses as the growth of that dict, so a path that fills
+    # it without calling the module-level _reorder would drive it below 0
     reports = [str(tmp_path / "ladder.json"), str(tmp_path / "biortho.json")]
     script = textwrap.dedent(f"""
         import contextlib, io, json, sys
@@ -147,7 +149,9 @@ def test_benchmark_tracer_installs_and_counts_every_record(tmp_path):
                              "--json", reports[1]]) == 1
             assert cli.main(["inner", "Q+", "A+*B+"]) == 0
             assert cli.main(["state", "--k", "1", "--n", "1", "--m", "2"]) == 0
-        spans.layer_metrics(tracer)
+        metrics = spans.layer_metrics(tracer)
+        ratios = {{k: v for k, v in metrics.items() if k.endswith("_ratio")}}
+        assert ratios and all(0 <= v <= 1 for v in ratios.values()), ratios
         reported = 0
         for path in reports:
             with open(path) as fh:

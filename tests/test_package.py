@@ -59,6 +59,20 @@ def test_a_repeated_commutator_hits_the_bracket_cache():
     assert weyl._bracket_terms.cache_info().hits > hits
 
 
+def test_brackets_leave_the_product_cache_alone():
+    # a bracket is one pass of its own expansion, memoized in _bracket_terms;
+    # only products fill the dict whose size the tracer reads as reorder misses
+    from quadosc import weyl
+    from quadosc.operators import op
+    h, qp, ap = op("H"), op("Q+"), op("A+")
+    weyl._REORDER_CACHE.clear()
+    weyl._bracket_terms.cache_clear()
+    h.commutator(qp)
+    qp.anticommutator(ap)
+    assert weyl._bracket_terms.cache_info().misses > 0
+    assert weyl._REORDER_CACHE == {}
+
+
 def _imported_names(tree):
     """The names the module body's own import statements bind."""
     for node in tree.body:

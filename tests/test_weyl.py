@@ -1,5 +1,8 @@
 """Weyl algebra: normal ordering, involutions, and the action on states."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -48,6 +51,31 @@ def test_transpose_example():
     # integration-by-parts transpose keeps each variable in place
     assert (Z * DZ).transpose() == -(Z * DZ) - IDENT
     assert (X3 * D3).transpose() == -(X3 * D3) - IDENT
+
+
+def transpose_oracle(a):
+    """The transpose monomial by monomial: each x^a d^d goes to the product
+    (-1)^|d| d^d * x^a of two one-term operators."""
+    out = WeylOperator({}, SPACE_ZZB)
+    for (p, q, r, d, e, f), coeff in a.terms.items():
+        sign = -1 if (d + e + f) % 2 else 1
+        ders = WeylOperator({(0, 0, 0, d, e, f): scalar(sign)}, SPACE_ZZB)
+        out = out + ders * WeylOperator({(p, q, r, 0, 0, 0): coeff}, SPACE_ZZB)
+    return out
+
+
+def test_transpose_multiplies_no_operators(monkeypatch):
+    # the transpose reads each term's reordering off the product rule
+    cat = catalogue()
+    letters = [variable(i) for i in range(3)] + [derivative(i) for i in range(3)]
+    cases = [cat["H"], cat["Q+"], Z * DZ] + letters
+    expected = [transpose_oracle(a) for a in cases]
+
+    def refuse(self, other):
+        raise AssertionError("transpose multiplied two operators")
+
+    monkeypatch.setattr(WeylOperator, "__mul__", refuse)
+    assert [a.transpose() for a in cases] == expected
 
 
 def test_adjoint_examples():
@@ -238,6 +266,28 @@ def test_bracket_kernel_matches_the_products(a, b):
         for bracket in (a.commutator, a.anticommutator):
             with pytest.raises(ValueError):
                 bracket(other)
+
+
+def merged_products(m1, m2, sign):
+    """The bracket expansion as the two products' lists merged, zeros dropped."""
+    merged = dict(weyl._reorder(m1, m2))
+    for m, w in weyl._reorder(m2, m1):
+        merged[m] = merged.get(m, 0) + sign * w
+    return {m: w for m, w in merged.items() if w}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bracket_expansion_matches_the_merged_products(sign):
+    # one pass over j against m1*m2 + sign*m2*m1 built from both products:
+    # every pair with exponents in {0, 1}, and a seeded sample up to 3
+    bits = list(itertools.product((0, 1), repeat=6))
+    rng = random.Random(2010)
+    sample = [tuple(tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(2))
+              for _ in range(300)]
+    for m1, m2 in list(itertools.product(bits, repeat=2)) + sample:
+        pairs = weyl._bracket_terms(m1, m2, sign)
+        assert len(dict(pairs)) == len(pairs)
+        assert dict(pairs) == merged_products(m1, m2, sign), (m1, m2)
 
 
 def contract_oracle(a, b, expand, *args):
