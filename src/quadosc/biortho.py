@@ -236,28 +236,26 @@ def verify_q_identities(k_max: int, n_max: int) -> list:
         out.append(record(f"biortho/qb-bracket-n{n}",
                           "bracket with a power of the second raising letter",
                           Qm.commutator(Bp ** n), rhs))
+    lower = {x: _fock.letter_picture(cat[x]) for x in ("Q-", "B-", "C-")}
     for k in range(1, k_max + 1):
-        qk = _fock.to_gaussian_state(_fock.expand_q_power(k))
-        qk1 = _fock.expand_q_power(k - 1)
+        qk, qk1 = _fock.expand_q_power(k), _fock.expand_q_power(k - 1)
         lowered = qk1.scale(scalar(8 * k * (2 * k + 1)) * lam * lam)
         if k >= 2:
             lowered = lowered - (CreationPolynomial.word(2, 0, 0) * _fock.expand_q_power(k - 2)
                                  ).scale(scalar(16 * k * (k - 1)) * g * g)
         out.append(record(
             f"biortho/q-lower-k{k}", "lowering the double-step power on the ground state",
-            Qm.apply(qk), _fock.to_gaussian_state(lowered)))
+            lower["Q-"].apply_poly(qk), lowered))
         out.append(record(
             f"biortho/b-lower-k{k}", "second letter lowering on double-step powers",
-            cat["B-"].apply(qk),
-            _fock.to_gaussian_state(
-                (CreationPolynomial.word(0, 1, 0).scale(scalar(-4 * k) * lam)
-                 + CreationPolynomial.word(0, 0, 1).scale(scalar(-4 * k) * g)) * qk1)))
+            lower["B-"].apply_poly(qk),
+            (CreationPolynomial.word(0, 1, 0).scale(scalar(-4 * k) * lam)
+             + CreationPolynomial.word(0, 0, 1).scale(scalar(-4 * k) * g)) * qk1))
         out.append(record(
             f"biortho/c-lower-k{k}", "third letter lowering on double-step powers",
-            cat["C-"].apply(qk),
-            _fock.to_gaussian_state(
-                (CreationPolynomial.word(1, 0, 0).scale(scalar(4 * k) * g)
-                 + CreationPolynomial.word(0, 0, 1).scale(scalar(4 * k) * lam)) * qk1)))
+            lower["C-"].apply_poly(qk),
+            (CreationPolynomial.word(1, 0, 0).scale(scalar(4 * k) * g)
+             + CreationPolynomial.word(0, 0, 1).scale(scalar(4 * k) * lam)) * qk1))
     return out
 
 

@@ -61,6 +61,7 @@ _SUITES = {
         _biortho.verify_cross_block_orthogonality(min(k, CROSS_BLOCK_CAP),
                                                   min(n, CROSS_BLOCK_CAP)),
         _biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)],
+    "picture": lambda k, n: [_fock.verify_letter_picture()],
 }
 SUITES = tuple(_SUITES)
 

@@ -26,7 +26,7 @@ from itertools import product
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
-                   ground_state, identity_op, poly_var, derivative, multiplication,
+                   ground_state, identity_op, poly_var, variable, derivative, multiplication,
                    _add_into, _conjugated)
 from . import operators as _ops
 
@@ -34,7 +34,7 @@ __all__ = [
     "CreationPolynomial", "contraction_matrix", "expand_q_power",
     "wick_inner", "gaussian_moment_inner", "to_gaussian_state",
     "gaussian_state_to_creation", "uvw_poly_to_zzb", "zzb_poly_to_uvw",
-    "verify_contraction_matrix",
+    "letter_picture", "verify_contraction_matrix", "verify_letter_picture",
 ]
 
 _LETTERS = ("A", "B", "C")
@@ -216,6 +216,64 @@ def uvw_picture(op: WeylOperator) -> WeylOperator:
     """A zzb operator conjugated by Psi0 and written in (u, v, w): its action
     on poly * Psi0, read on the (u, v, w) form of poly."""
     return _conjugated(op).substitute(_uvw_change_images())
+
+
+def _letter_targets():
+    """Each catalogue letter's picture: X+ is the letter X, and X- is
+    sum_Y K[X, Y] d/dY, since X- kills Psi0 and [X-, Y+] = K[X, Y]."""
+    K, ders = contraction_matrix(), [derivative(j, SPACE_ABC) for j in range(3)]
+    out = {}
+    for i, x in enumerate(_LETTERS):
+        out[f"{x}+"] = variable(i, SPACE_ABC)
+        out[f"{x}-"] = sum(d.scale(K[(x, y)]) for d, y in zip(ders, _LETTERS))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _letter_images():
+    """Images of (z, zb, x3, dz, dzb, d3) in the Weyl algebra on the letters,
+    by inverting the catalogue letters; every divisor is a monomial.  Raises
+    ValueError unless they obey the canonical commutation relations, which
+    holds exactly when K is the letters' bracket table, and unless each
+    catalogue letter's picture is the letter itself."""
+    t = _letter_targets()
+    half = ONE / scalar(2)
+    zb = (t["A-"] - t["A+"]).scale(half / LAM)
+    x3 = ((t["C-"] - t["C+"]).scale(half) + zb.scale(G)).scale(ONE / LAM)
+    z = ((t["B-"] - t["B+"]).scale(half) + x3.scale(G)).scale(scalar(2) / LAM)
+    images = (z, zb, x3, (t["A+"] + t["A-"]).scale(half * half),
+              (t["B+"] + t["B-"]).scale(half), (t["C+"] + t["C-"]).scale(half))
+    for i in range(6):
+        for j in range(i + 1, 6):
+            if images[i].commutator(images[j]) != (-1 if j == i + 3 else 0):
+                raise ValueError(f"letter images {i} and {j} break the commutation relations")
+    cat = _ops.catalogue()
+    for name, target in t.items():
+        if cat[name].substitute(images) != target:
+            raise ValueError(f"the letter picture of {name} is not the letter itself")
+    return images
+
+
+@lru_cache(maxsize=None)
+def letter_picture(op: WeylOperator) -> WeylOperator:
+    """A zzb operator acting on creation polynomials (the Bargmann-Fock
+    picture): ``op`` on p(A+, B+, C+) Psi0 is (letter_picture(op) p) Psi0."""
+    return op.substitute(_letter_images())
+
+
+def verify_letter_picture() -> list:
+    """Each catalogue letter's picture is the letter itself, and each lowering
+    letter kills Psi0.  With the contraction records these make the picture an
+    algebra map that sends Psi0 to 1 and commutes with action."""
+    cat = _ops.catalogue()
+    out = [_ops.record(f"picture/letter-{name}", "the letter picture of a letter is itself",
+                       letter_picture(cat[name]), target)
+           for name, target in _letter_targets().items()]
+    for x in _LETTERS:
+        vac = cat[f"{x}-"].apply(ground_state())
+        out.append(_ops.check(f"picture/vacuum-{x}-", "the lowering letter kills Psi0",
+                              vac.is_zero(), vac))
+    return out
 
 
 def uvw_poly_to_zzb(p: Poly3) -> Poly3:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
-from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW,
+from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_UVW,
                    poly_var, poly_one, variable, derivative, identity_op, _add_into)
 from . import operators as _ops
 from .operators import check, record
@@ -74,22 +74,19 @@ class AssociatedState:
 
     def uvw_poly(self) -> Poly3:
         """The wavefunction in (u, v, w): the change of variables of the zzb one."""
-        return _fock.zzb_poly_to_uvw(self._zzb.poly)
-
-    @cached_property
-    def _zzb(self) -> GaussianState:
-        return _fock.to_gaussian_state(self.creation)
+        return _fock.zzb_poly_to_uvw(self.gaussian().poly)
 
     def gaussian(self) -> GaussianState:
-        """The wavefunction, built on the first call and kept with the state."""
-        return self._zzb
+        """The wavefunction poly(z, zb, x3) * Psi0."""
+        return _fock.to_gaussian_state(self.creation)
 
     def to_json(self):
+        zzb = self.gaussian().poly
         return {
             "label": self.label.to_json(),
             "creation": self.creation.to_json(),
-            "uvw": self.uvw_poly().render(),
-            "zzb": self.gaussian().poly.render(),
+            "uvw": _fock.zzb_poly_to_uvw(zzb).render(),
+            "zzb": zzb.render(),
         }
 
 
@@ -393,38 +390,33 @@ def _labels(max_k: int, max_n: int):
 
 def verify_jordan_layer(max_k: int, max_n: int) -> list:
     """Chain relation, closed-form/direct equality, block dimension, and the
-    Casimir eigenvalue on every member within the index caps."""
+    Casimir eigenvalue on every member within the index caps; H and the
+    Casimir act on creation polynomials in the letter picture."""
     out = []
-    cat = _ops.catalogue()
-    casimir = _ops.casimir_operator()
+    h = _fock.letter_picture(_ops.catalogue()["H"])
+    casimir = _fock.letter_picture(_ops.casimir_operator())
     for k, n in _blocks(max_k, max_n):
-        label_top = JordanLabel(k, n, 2 * n)
-        E = label_top.energy
-        h_shift = cat["H"] - identity_op().scale(E)
-        states = {m: build_state(JordanLabel(k, n, m)) for m in range(2 * n + 1)}
+        labels = [JordanLabel(k, n, m) for m in range(2 * n + 1)]
+        members = [build_state(label).creation for label in labels]
         # all 2n+1 members nonzero; with the chain relation below this
         # forces linear independence, hence the block dimension
-        nonzero = all(not s.creation.is_zero() for s in states.values())
+        nonzero = all(not member.is_zero() for member in members)
         out.append(check(f"jordan/dim-{k}-{n}", "block dimension", nonzero, "vanishing member"))
-        for m in range(2 * n + 1):
-            st = states[m]
-            direct = build_state_direct(st.label)
+        for label, member in zip(labels, members):
+            m = label.m
             out.append(record(
                 f"jordan/closed-direct-{k}-{n}-{m}",
                 "closed-form expansion equals repeated application",
-                st.creation, direct.creation))
-            shifted = h_shift.apply(st.gaussian())
-            target = (states[m - 1].gaussian() if m >= 1
-                      else GaussianState(Poly3({}, SPACE_ZZB)))
+                member, build_state_direct(label).creation))
             out.append(record(
                 f"jordan/chain-{k}-{n}-{m}",
                 "chain relation under the shifted Hamiltonian",
-                shifted, target))
+                h.apply_poly(member) - member.scale(label.energy),
+                members[m - 1] if m >= 1 else CreationPolynomial()))
             out.append(record(
                 f"jordan/casimir-{k}-{n}-{m}",
                 "Casimir eigenvalue on block members",
-                casimir.apply(st.gaussian()),
-                st.gaussian().scale(casimir_eigenvalue(st.label))))
+                casimir.apply_poly(member), member.scale(casimir_eigenvalue(label))))
     return out
 
 
@@ -484,27 +476,27 @@ def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
     return out
 
 
-def _expansion_state(terms) -> GaussianState:
+def _expansion(terms) -> CreationPolynomial:
     out = {}
     for lbl, coeff in terms:
-        _add_into(out, build_state(lbl).gaussian().terms, coeff)
-    return GaussianState(Poly3(out, SPACE_ZZB))
+        _add_into(out, build_state(lbl).creation.terms, coeff)
+    return CreationPolynomial(out)
 
 
 def _action_records(max_k: int, max_n: int, kind: str, anchor: str, op_names,
                     expansions) -> list:
-    """Each catalogue operator of ``op_names`` applied to every member with
-    label in ``_labels(max_k, max_n)``, against the claimed expansion
-    ``expansions(label)[op_name]``, taken once per label."""
-    cat = _ops.catalogue()
+    """The letter picture of each catalogue operator of ``op_names`` applied
+    to every member with label in ``_labels(max_k, max_n)``, against the
+    claimed expansion ``expansions(label)[op_name]``, taken once per label."""
+    pictures = {name: _fock.letter_picture(_ops.catalogue()[name]) for name in op_names}
     out = []
     for label in _labels(max_k, max_n):
-        st_gauss = build_state(label).gaussian()
+        member = build_state(label).creation
         claimed = expansions(label)
         for op_name in op_names:
             out.append(record(
                 f"jordan/{kind}-{op_name}-{label.k}-{label.n}-{label.m}", anchor,
-                cat[op_name].apply(st_gauss), _expansion_state(claimed[op_name])))
+                pictures[op_name].apply_poly(member), _expansion(claimed[op_name])))
     return out
 
 

@@ -3,11 +3,13 @@ on polynomial-times-Gaussian states.
 
 An operator is a finite sum of monomials  x1^a x2^b x3^c d1^d d2^e d3^f  (all
 multiplication operators to the left of all derivatives) with ParamScalar
-coefficients.  Two operator "spaces" share this structure:
+coefficients.  Three operator "spaces" share this structure:
 
 * ``zzb``  — variables (z, zb, x3), derivatives (dz, dzb, d3); the model space.
 * ``uvw``  — variables (u, v, w), derivatives (du, dv, dw); the transformed
   space used for the multivariate-polynomial layer.
+* ``abc``  — the creation letters (A+, B+, C+) and their derivatives; the
+  letter picture, which acts on creation polynomials.
 
 Operators, polynomials, creation-letter polynomials and states are all sparse
 sums of monomials; :class:`SparseTerms` holds their shared additive structure,
@@ -35,12 +37,12 @@ __all__ = [
 
 SPACE_ZZB = "zzb"
 SPACE_UVW = "uvw"
-SPACE_ABC = "abc"     # commuting creation letters (fock.CreationPolynomial)
+SPACE_ABC = "abc"     # creation letters (fock.CreationPolynomial, fock.letter_picture)
 
 _NAMES = {
     SPACE_ZZB: ("z", "zb", "x3", "dz", "dzb", "d3"),
     SPACE_UVW: ("u", "v", "w", "du", "dv", "dw"),
-    SPACE_ABC: ("A+", "B+", "C+"),
+    SPACE_ABC: ("A+", "B+", "C+", "dA+", "dB+", "dC+"),
 }
 
 

@@ -521,7 +521,7 @@ def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
     # the refactor gate: the report's bytes are pinned; an intentional report
     # change updates this digest and perfbench/reference/ together
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "b5f4ca513d5f580d374fe85e3d7f6fe3044e155c65b4e3cbfe8c401a2917f671"
+        "2f3d791e8dc08cfaafe6cffd249bf4238daff8d07a1860b8f513cdf32892b0b1"
 
 
 def test_verify_all_constructs_one_identity_record_per_reported_record(
@@ -539,7 +539,7 @@ def test_verify_all_constructs_one_identity_record_per_reported_record(
     path = tmp_path / "all.json"
     run(capsys, "verify", "--suite", "all", "--json", str(path))
     total = json.loads(path.read_text())["summary"]["total"]
-    assert total == 1120
+    assert total == 1129
     assert len(built) == total
 
 

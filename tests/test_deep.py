@@ -28,3 +28,14 @@ def test_block_suites_at_eight(tmp_path, suite, code, digest):
     # the refactor gate where n reaches 8: the member formula and the
     # recursion families past the K = 4 pins of test_cli.py
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_jordan_at_twelve(tmp_path):
+    # the action records past K = 8, in the letter picture; the zzb route
+    # gives the same bytes, so this digest pins one engine against the other
+    path = tmp_path / "jordan.json"
+    assert main(["verify", "--suite", "jordan", "--max-k", "12", "--max-n", "12",
+                 "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["summary"]["verified"] == 10016
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "a43de3275a5d7c818db17d137a2a98964c15e06de9c93d13026d73107f16bee4"

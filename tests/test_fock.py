@@ -124,6 +124,42 @@ def test_contraction_matrix_reads_the_ladder_rows(monkeypatch):
         fock.contraction_matrix.cache_clear()
 
 
+def test_letter_picture_of_h_renders_with_the_letter_derivatives():
+    # H = 2*lam*(A dA + B dB + C dC) - 2*g*(A dC + C dB) on creation polynomials
+    h = fock.letter_picture(ops.op("H"))
+    assert h.render() == ("2*lam*A+*dA+ - 2*g*A+*dC+ + 2*lam*B+*dB+ - 2*g*C+*dB+"
+                          " + 2*lam*C+*dC+")
+    assert h.apply_poly(CreationPolynomial.word(0, 1, 0)) == \
+        CreationPolynomial({(0, 1, 0): 2 * LAM, (0, 0, 1): -2 * G})
+
+
+def test_letter_images_reject_a_wrong_contraction_entry(monkeypatch):
+    K = dict(fock.contraction_matrix())
+    assert len(fock._letter_images.__wrapped__()) == 6
+    K[("A", "B")] = 2 * LAM
+    monkeypatch.setattr(fock, "contraction_matrix", lambda: K)
+    with pytest.raises(ValueError, match="commutation relations"):
+        fock._letter_images.__wrapped__()
+
+
+def test_picture_suite_records():
+    recs = fock.verify_letter_picture()
+    assert [r.id for r in recs] == (
+        [f"picture/letter-{x}{s}" for x in "ABC" for s in "+-"]
+        + [f"picture/vacuum-{x}-" for x in "ABC"])
+    assert all(r.ok for r in recs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["A+", "B-", "C-", "H", "Q-", "V", "R2"]),
+       st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3), max_size=4))
+def test_letter_picture_commutes_with_action(name, words):
+    p = CreationPolynomial({w: scalar(c) for w, c in words.items()})
+    op = ops.op(name)
+    assert fock.to_gaussian_state(fock.letter_picture(op).apply_poly(p)) == \
+        op.apply(fock.to_gaussian_state(p))
+
+
 def test_wick_examples():
     a = CreationPolynomial.word(1, 0, 0)
     b = CreationPolynomial.word(0, 1, 0)

@@ -150,6 +150,55 @@ def test_special_actions_small():
     assert all(r.ok for r in recs), [r.id for r in recs if not r.ok]
 
 
+_LETTER_NAMES = ("A+", "B+", "C+", "A-", "B-", "C-")
+
+
+def test_picture_sides_equal_the_zzb_route_at_default_bounds():
+    # the second engine of every record that acts in the letter picture: the
+    # zzb operator applied to the member's wavefunction
+    cat = ops.catalogue()
+    h = fock.letter_picture(cat["H"])
+    acting = [cat[name] for name in _LETTER_NAMES + ("H", "R", "V")] + [ops.casimir_operator()]
+    for label in J._labels(3, 3):
+        st = J.build_state(label)
+        for op in acting:
+            assert fock.to_gaussian_state(fock.letter_picture(op).apply_poly(st.creation)) == \
+                op.apply(st.gaussian()), (label, op)
+        chain = h.apply_poly(st.creation) - st.creation.scale(label.energy)
+        assert fock.to_gaussian_state(chain) == \
+            (cat["H"] - identity_op().scale(label.energy)).apply(st.gaussian()), label
+    for k in range(1, 4):
+        qk = fock.expand_q_power(k)
+        for name in ("Q-", "B-", "C-"):
+            assert fock.to_gaussian_state(fock.letter_picture(cat[name]).apply_poly(qk)) == \
+                cat[name].apply(fock.to_gaussian_state(qk)), (k, name)
+
+
+def test_a_wrong_ladder_coefficient_fails_the_same_record_in_both_routes(monkeypatch):
+    claimed = J.ladder_apply
+
+    def planted(op_name, label):
+        out = claimed(op_name, label)
+        if op_name == "C-" and label == JordanLabel(1, 1, 1):
+            (target, c), *rest = out
+            out = [(target, c * 2)] + rest
+        return out
+
+    monkeypatch.setattr(J, "ladder_apply", planted)
+    picture_failed = [r.id for r in J.verify_ladder_actions(3, 3) if not r.ok]
+    cat = ops.catalogue()
+    zzb_failed = []
+    for label in J._labels(3, 3):
+        member = J.build_state(label).gaussian()
+        for name in _LETTER_NAMES:
+            want = fock.to_gaussian_state(CreationPolynomial())
+            for target, c in planted(name, label):
+                want = want + J.build_state(target).gaussian().scale(c)
+            if cat[name].apply(member) != want:
+                zzb_failed.append(f"jordan/ladder-{name}-{label.k}-{label.n}-{label.m}")
+    assert picture_failed == zzb_failed == ["jordan/ladder-C--1-1-1"]
+
+
 def test_f_polynomial_tables():
     w = poly_var(2, SPACE_UVW)
     u = poly_var(0, SPACE_UVW)
