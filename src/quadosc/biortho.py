@@ -186,27 +186,41 @@ _T_PAIRINGS = {
 }
 
 
-def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
-    """The three vacuum pairings whose vanishing drives the normalization
-    induction; evaluated by contraction permanents."""
+def _t_states(which: int, k: int, n: int):
+    """The bra, signed by (-1)^n, and the ket of one of the three vacuum
+    pairings."""
     if which not in _T_PAIRINGS:
         raise ValueError("which must be 1, 2, or 3")
     kind, least_k, least_n, a, b, c = _T_PAIRINGS[which]
     if k < least_k or n < least_n:
         raise ValueError(f"{kind} pairing needs k >= {least_k}, n >= {least_n}")
-    bra = CreationPolynomial.word(n, 0, 0) * _fock.expand_q_power(k - 1)
-    ket = CreationPolynomial.word(a, n - b, 0) * _fock.expand_q_power(k - c)
     sign = -ONE if n % 2 else ONE
-    return sign * wick_inner(bra, ket)
+    bra = CreationPolynomial.word(n, 0, 0, sign) * _fock.expand_q_power(k - 1)
+    ket = CreationPolynomial.word(a, n - b, 0) * _fock.expand_q_power(k - c)
+    return bra, ket
+
+
+def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
+    """The three vacuum pairings whose vanishing drives the normalization
+    induction; evaluated by contraction permanents."""
+    return wick_inner(*_t_states(which, k, n))
 
 
 def verify_T_vanishing(max_k: int, max_n: int) -> list:
+    """Each vacuum pairing vanishes between states of one degree: words of
+    unequal degree pair to zero whatever their powers, so a pair of unequal
+    degrees fails, with both degrees as its residual."""
     out = []
     for k, n in _blocks(max_k, max_n):
         for which, (kind, least_k, least_n, *_) in _T_PAIRINGS.items():
             if k >= least_k and n >= least_n:
-                out.append(record(f"biortho/T{which}-{k}-{n}", f"vanishing pairing ({kind} kind)",
-                                  t_vanishing_value(which, k, n), ZERO))
+                ident, anchor = f"biortho/T{which}-{k}-{n}", f"vanishing pairing ({kind} kind)"
+                bra, ket = _t_states(which, k, n)
+                if bra.degree() != ket.degree():
+                    out.append(check(ident, anchor, False, f"bra degree {bra.degree()}"
+                                     f" differs from ket degree {ket.degree()}"))
+                else:
+                    out.append(record(ident, anchor, wick_inner(bra, ket), ZERO))
     return out
 
 

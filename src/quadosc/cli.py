@@ -23,7 +23,7 @@ from . import fock as _fock
 from . import expr as _expr
 from .coeff import ParamScalar
 from .jordan import JordanLabel
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, merge_reports, report_text
 from .weyl import ground_state
 
 # Bounds that some sub-suites keep whatever --max-k and --max-n ask for.
@@ -236,9 +236,9 @@ def _cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read {path}: {exc}") from exc
     merged = merge_reports(docs)
+    text = report_text(merged)
     with _writing(args.out) as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     print(f"merged {len(args.inputs)} reports into {args.out}"
           f" ({merged['summary']['total']} records,"
           f" {merged['summary']['failed']} failed)")

@@ -18,9 +18,10 @@ hashable, and a real constant hashes like its ``Fraction``.
 
 Arithmetic.  ``+``, ``-``, ``*``, powers and conjugation are integer products
 and sums, then one ``math.gcd`` pass over the coefficients.  Powers square
-repeatedly.  The Weyl kernel and the span solver flatten their operands to
-integer rows over a common denominator (:func:`_flatten`), sum the products
-as integers and pay that pass once per result (:func:`_collect`).
+repeatedly.  The Weyl kernel, substitution and the span solver flatten
+their operands to integer rows over a common denominator (:func:`_flatten`),
+sum the products as integers (:func:`_accumulate`) and pay that pass once
+per result (:func:`_collect`).
 Division and negative powers need an inverse in the ring, so the divisor
 must be a nonzero unit times a monomial, as in ``1/(2*lam)``; any other
 divisor, such as ``lam - g``, raises a ``ValueError`` that names it.  A zero
@@ -145,6 +146,19 @@ def _flatten(terms, d: int):
         k = d // c._den[_UNIT][0]
         out.append((key, [(a, b, x * k, y * k) for (a, b), (x, y) in c._num.items()]))
     return out
+
+
+def _accumulate(acc, c1, c2, pairs):
+    """Add the product of two flattened values (rows of :func:`_flatten`)
+    times each int weight k at each key m of ``pairs`` into the integer sums
+    ``acc``, {(m, (e_lam, e_g)): (re, im)}, that :func:`_collect` reads."""
+    for a, b, x, y in c1:
+        for p, q, u, v in c2:
+            e, re, im = (a + p, b + q), x * u - y * v, x * v + y * u
+            for m, k in pairs:
+                cur = acc.get((m, e))
+                acc[m, e] = ((re * k, im * k) if cur is None
+                             else (cur[0] + re * k, cur[1] + im * k))
 
 
 def _collect(acc, d: int):

@@ -9,7 +9,8 @@ The two engines are deliberately unrelated:
 
 * :func:`wick_inner` contracts creation words against each other with the
   constant cross-brackets of the letters, reducing each monomial pairing to a
-  signed matrix permanent, summed over tables of letter-pair counts.
+  signed matrix permanent, read off the one table of letter-pair counts that
+  its margins allow.
 * :func:`gaussian_moment_inner` works directly with wavefunctions: it
   multiplies them in (z, zb, x3) and sums each monomial's formal Gaussian
   moment, paired by Isserlis' recursion over the covariance of Psi0^2 in
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
@@ -112,17 +112,20 @@ def verify_contraction_matrix() -> list:
 # Wick engine
 # ---------------------------------------------------------------------------
 
-def _pair_tables(rows, cols, K):
-    """The 3x3 tables of letter-pair counts with the given row and column
-    sums, leaving out those with a count on a zero entry of K (they weigh 0)."""
-    free = [range(1) if K[x][y].is_zero() else range(min(rows[x], cols[y]) + 1)
-            for x in range(2) for y in range(2)]
-    for t00, t01, t10, t11 in product(*free):
-        table = [[t00, t01, rows[0] - t00 - t01], [t10, t11, rows[1] - t10 - t11]]
-        table.append([cols[y] - table[0][y] - table[1][y] for y in range(3)])
-        if all(t == 0 or (t > 0 and not K[x][y].is_zero())
-               for x, row in enumerate(table) for y, t in enumerate(row)):
-            yield table
+_TREE = (("A", "B"), ("B", "A"), ("B", "C"), ("C", "B"), ("C", "C"))
+
+
+@lru_cache(maxsize=None)
+def _tree_weights():
+    """K on its support, which must be the spanning tree AB, BA, BC, CB, CC
+    of the bipartite graph of lowering and raising letters, the support
+    :func:`_word_inner` reads its one table off; any other raises ValueError."""
+    K = contraction_matrix()
+    support = {p for p, k in K.items() if not k.is_zero()}
+    if support != set(_TREE):
+        raise ValueError(f"the contraction table's support {sorted(support)}"
+                         " is not the letter tree")
+    return tuple(K[p] for p in _TREE)
 
 
 @lru_cache(maxsize=None)
@@ -132,27 +135,28 @@ def _word_inner(bra, ket) -> ParamScalar:
     so the permanent is MacMahon's sum over the letter-pair tables T with row
     sums ``bra`` and column sums ``ket``: T stands for
     prod r! * prod c! / prod T! permutations, each weighing prod K[x,y]^T[x,y].
+    K's support is a spanning tree, so the margins fix the one table:
+    T_AB = a, T_BA = x, T_BC = b - x, T_CB = y - a, T_CC = c - y + a for
+    bra (a, b, c) and ket (x, y, z), and there is none if an entry is negative.
     """
-    d = sum(bra)
-    if d != sum(ket):
+    weights, d = _tree_weights(), sum(bra)
+    (a, b, c), (x, y, _) = bra, ket
+    table = (a, x, b - x, y - a, c - y + a)
+    if d != sum(ket) or min(table) < 0:
         return ZERO
-    K = [[contraction_matrix()[(x, y)] for y in _LETTERS] for x in _LETTERS]
-    margins = math.prod(math.factorial(n) for n in bra + ket)
-    total = ZERO
-    for table in _pair_tables(bra, ket, K):
-        count, weight = margins, ONE
-        for x, row in enumerate(table):
-            for y, t in enumerate(row):
-                if t:
-                    count //= math.factorial(t)
-                    weight = weight * K[x][y] ** t
-        total = total + count * weight
+    count = math.prod(math.factorial(n) for n in bra + ket)
+    weight = ONE
+    for k, t in zip(weights, table):
+        if t:
+            count //= math.factorial(t)
+            weight = weight * k ** t
+    total = count * weight
     return -total if d % 2 else total
 
 
 def wick_inner(bra: CreationPolynomial, ket: CreationPolynomial) -> ParamScalar:
     """<<bra Psi0 | ket Psi0>> in units of <<Psi0 | Psi0>>, by contraction
-    permanents summed over letter-pair tables; symmetric and bilinear."""
+    permanents read off letter-pair tables; symmetric and bilinear."""
     total = ZERO
     for wb, cb in bra.terms.items():
         for wk, ck in ket.terms.items():
@@ -255,10 +259,17 @@ def _letter_images():
 
 
 @lru_cache(maxsize=None)
+def _letter_monomial(mono) -> WeylOperator:
+    """The letter picture of one zzb monomial, shared by every operator
+    that has it (the E_ij, D+-_ij and a_i+- of the sp6 suite use 28)."""
+    return WeylOperator({mono: ONE}, SPACE_ZZB).substitute(_letter_images())
+
+
+@lru_cache(maxsize=None)
 def letter_picture(op: WeylOperator) -> WeylOperator:
     """A zzb operator acting on creation polynomials (the Bargmann-Fock
     picture): ``op`` on p(A+, B+, C+) Psi0 is (letter_picture(op) p) Psi0."""
-    return op.substitute(_letter_images())
+    return op._sum_images(_letter_monomial, _letter_images()[0])
 
 
 def verify_letter_picture() -> list:
@@ -298,10 +309,7 @@ def _word_state(word) -> GaussianState:
 
 def to_gaussian_state(p: CreationPolynomial) -> GaussianState:
     """The wavefunction of a creation polynomial, as poly(z, zb, x3) * Psi0."""
-    out = {}
-    for word, c in p.terms.items():
-        _add_into(out, _word_state(word).terms, c)
-    return GaussianState(Poly3(out, SPACE_ZZB))
+    return p._sum_images(_word_state, ground_state())
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import (ParamScalar, LAM, G, I, ONE, ZERO, scalar, _is_atomic, _lcd, _flatten,
-                    _collect)
+                    _accumulate, _collect)
 from .weyl import WeylOperator, SPACE_ZZB, variable, derivative, identity_op, _grlex_key
 
 __all__ = [
@@ -260,8 +260,11 @@ class SqrtTwoLamOperator:
     __slots__ = ("even", "odd")
 
     def __init__(self, even: WeylOperator = None, odd: WeylOperator = None):
-        object.__setattr__(self, "even", even if even is not None else WeylOperator({}, SPACE_ZZB))
-        object.__setattr__(self, "odd", odd if odd is not None else WeylOperator({}, SPACE_ZZB))
+        # a missing part is the zero of the given part's space (zzb if none)
+        given = even if even is not None else odd
+        space = SPACE_ZZB if given is None else given.space
+        object.__setattr__(self, "even", even if even is not None else WeylOperator({}, space))
+        object.__setattr__(self, "odd", odd if odd is not None else WeylOperator({}, space))
 
     def __setattr__(self, name, value):
         raise AttributeError("SqrtTwoLamOperator is immutable")
@@ -523,9 +526,13 @@ def verify_nine_dim_algebra() -> list:
 
 def verify_gl3() -> list:
     """Double construction of the gl(3) generators, all 81 structure-constant
-    identities, and the linear Casimir combination."""
+    identities, and the linear Casimir combination.  The structure constants
+    are brackets of the generators' letter pictures, an injective algebra
+    map, so each residual is zero exactly when the zzb one is."""
+    from .fock import letter_picture   # fock imports this module
     c = catalogue()
     alt = gl3_from_bilinears()
+    e = {n: letter_picture(c[n]) for n in _E_NAMES}
     out = []
     for n in _E_NAMES:
         out.append(record(f"gl3/double-{n}", f"two constructions of {n} agree",
@@ -536,13 +543,13 @@ def verify_gl3() -> list:
                 for l in (1, 2, 3):
                     rhs = 0
                     if j == k:
-                        rhs = rhs + c[f"E{i}{l}"]
+                        rhs = rhs + e[f"E{i}{l}"]
                     if i == l:
-                        rhs = rhs - c[f"E{k}{j}"]
+                        rhs = rhs - e[f"E{k}{j}"]
                     out.append(record(
                         f"gl3/ccr-E{i}{j}-E{k}{l}",
                         "gl(3) structure constants",
-                        c[f"E{i}{j}"].commutator(c[f"E{k}{l}"]), rhs))
+                        e[f"E{i}{j}"].commutator(e[f"E{k}{l}"]), rhs))
     casimir_rhs = (c["H"] - c["R"].scale(G * G / LAM ** 2) - c["V"].scale(G / LAM)
                    + 3 * LAM).scale(ONE / (2 * LAM))
     out.append(record("gl3/casimir", "linear Casimir as a combination of commuting integrals",
@@ -662,12 +669,7 @@ class SpanSolver:
         acc = {}
         for m, c in _flatten(terms, d):
             for name, entries in self.rows[m]:
-                for a, b, x, y in c:
-                    for p, q, u, v in entries:
-                        key = (name, (a + p, b + q))
-                        re, im = x * u - y * v, x * v + y * u
-                        cur = acc.get(key)
-                        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+                _accumulate(acc, c, entries, ((name, 1),))
         return _collect(acc, d * self.den)
 
 
@@ -695,9 +697,16 @@ def _certificate(coeffs) -> str:
 
 def verify_sp6_osp16_closure() -> list:
     """Closure certificates: every bracket of the even quadratic generators,
-    and every anticommutator of odd elements, lies in the quadratic span."""
-    b, c = boson(), catalogue()
-    solver = SpanSolver(_span_basis())
+    and every anticommutator of odd elements, lies in the quadratic span.
+    Both parts of every element are taken to the letter picture, an
+    injective algebra map, so each certificate is the zzb one."""
+    from .fock import letter_picture   # fock imports this module
+
+    def pictured(x):
+        return SqrtTwoLamOperator(letter_picture(x.even), letter_picture(x.odd))
+    b = {name: pictured(x) for name, x in boson().items()}
+    c = {name: letter_picture(catalogue()[name]) for name in _E_NAMES}
+    solver = SpanSolver([(name, pictured(x)) for name, x in _span_basis()])
     out = []
 
     def member(ident, anchor, bracket):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .operators import IdentityRecord
 
-__all__ = ["VerificationReport", "merge_reports", "SCHEMA"]
+__all__ = ["VerificationReport", "merge_reports", "report_text", "SCHEMA"]
 
 _VERSION = "0.1.0"
 
@@ -78,9 +78,9 @@ class VerificationReport:
                 "failed": len(self.records) - verified}
 
     def write_json(self, path: str, timing: bool = False):
+        text = report_text(self.to_json_dict(timing=timing))
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(timing=timing), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
     def summary_lines(self):
         by_suite = {}
@@ -93,6 +93,13 @@ class VerificationReport:
             status = "ok" if bad == 0 else f"{bad} FAILED"
             lines.append(f"{s:12s} {tot:4d} identities  {status}")
         return lines
+
+
+def report_text(doc: dict) -> str:
+    """The canonical text of a report document, written in one piece: the
+    bytes ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline give,
+    without the encoder's many small writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def merge_reports(dicts) -> dict:

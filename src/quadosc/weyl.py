@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 
 from .coeff import (ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic,
-                    _lcd, _flatten, _collect)
+                    _lcd, _flatten, _accumulate, _collect)
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
@@ -141,11 +141,13 @@ class SparseTerms:
 
     def substitute(self, images):
         """The homomorphism that sends generator i to images[i] (all of one
-        class and space), applied monomial by monomial in generator order."""
+        class and space): each monomial's image is a product of powers of
+        the images, each power formed once per call, and the images are
+        summed by :meth:`_sum_images`."""
         unit = images[0]._new({images[0]._UNIT: ONE})
         powers = [[unit, image] for image in images]
-        out = {}
-        for mono, coeff in self.terms.items():
+
+        def image(mono):
             term = unit
             for i, e in enumerate(mono):
                 if e:
@@ -153,8 +155,21 @@ class SparseTerms:
                     while len(row) <= e:
                         row.append(row[-1] * images[i])
                     term = row[e] if term is unit else term * row[e]
-            _add_into(out, term.terms, coeff)
-        return unit._new(out)
+            return term
+        return self._sum_images(image, unit)
+
+    def _sum_images(self, image, like):
+        """The sum of c * image(m) over this value's terms, of the class and
+        space of ``like``: the coefficient products are summed as integers
+        over one denominator, and each result coefficient is canonicalized
+        once."""
+        imgs = [image(m).terms for m in self.terms]
+        d1, d2 = _lcd(self.terms.values()), _lcd(c for t in imgs for c in t.values())
+        acc = {}
+        for (_, c1), img in zip(_flatten(self.terms, d1), imgs):
+            for m, c2 in _flatten(img, d2):
+                _accumulate(acc, c1, c2, ((m, 1),))
+        return like._new(_collect(acc, d1 * d2))
 
     # -- comparison ---------------------------------------------------------
 
@@ -326,13 +341,7 @@ def _contract(terms1, terms2, expand, *args):
         for m2, c2 in flat2:
             pairs = expand(m1, m2, *args)
             if pairs:
-                for a, b, x, y in c1:
-                    for p, q, u, v in c2:
-                        e, re, im = (a + p, b + q), x * u - y * v, x * v + y * u
-                        for m, k in pairs:
-                            cur = acc.get((m, e))
-                            acc[m, e] = ((re * k, im * k) if cur is None
-                                         else (cur[0] + re * k, cur[1] + im * k))
+                _accumulate(acc, c1, c2, pairs)
     return _collect(acc, d1 * d2)
 
 

@@ -88,6 +88,17 @@ def test_t_vanishing_examples():
         B.t_vanishing_value(1, 1, 0)
 
 
+def test_t_record_with_unequal_degrees_is_red(monkeypatch):
+    # a wrong ket power pairs words of unequal degree, which gives 0 whatever
+    # the powers; the record names both degrees instead of passing
+    monkeypatch.setitem(B._T_PAIRINGS, 1, ("first", 2, 0, 3, 0, 2))
+    assert B.t_vanishing_value(1, 2, 1).is_zero()
+    records = {r.id: r for r in B.verify_T_vanishing(3, 3)}
+    red = {ident: r.residual for ident, r in records.items() if not r.ok}
+    assert set(red) == {i for i in records if i.startswith("biortho/T1-")} != set()
+    assert red["biortho/T1-2-1"] == "bra degree 3 differs from ket degree 4"
+
+
 def test_orthogonalize_block_01():
     t = B.orthogonalize(0, 1)
     rows = t.apply_rows()

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 import quadosc
 from quadosc import expr, fock, weyl
 from quadosc.cli import main
-from quadosc.report import SCHEMA, VerificationReport
+from quadosc.report import SCHEMA, VerificationReport, merge_reports
 from quadosc.operators import IdentityRecord
 
 
@@ -353,6 +354,31 @@ def test_report_merge(tmp_path, capsys):
     jsonschema.validate(doc, SCHEMA)
     suites = {rec["suite"] for rec in doc["records"]}
     assert suites == {"ladder", "integrals"}
+
+
+def test_reports_are_the_bytes_json_dump_writes(tmp_path, capsys):
+    # one write of the canonical text, byte for byte what the streaming
+    # encoder gives, for a report with a failed record and a note
+    rep = VerificationReport("custom")
+    rep.add("custom", [IdentityRecord("custom/y", "synthetic", "verified", "0", 1.25),
+                       IdentityRecord("custom/x", "synthetic", "failed", "1 - lam",
+                                      note="a note")])
+
+    def dumped(doc):
+        buf = io.StringIO()
+        json.dump(doc, buf, indent=2, sort_keys=True)
+        return (buf.getvalue() + "\n").encode()
+
+    for timing in (False, True):
+        path = tmp_path / f"r{timing}.json"
+        rep.write_json(str(path), timing=timing)
+        assert path.read_bytes() == dumped(rep.to_json_dict(timing=timing))
+    out_path = tmp_path / "merged.json"
+    code, _, _ = run(capsys, "report", "--merge", "--out", str(out_path),
+                     str(tmp_path / "rFalse.json"), str(tmp_path / "rTrue.json"))
+    assert code == 1
+    docs = [json.loads((tmp_path / f"r{t}.json").read_text()) for t in (False, True)]
+    assert out_path.read_bytes() == dumped(merge_reports(docs))
 
 
 def test_report_merge_failed_records_exit_one(tmp_path, capsys):

@@ -89,6 +89,30 @@ def test_word_inner_matches_ryser(pair):
     assert fock._word_inner(bra, ket) == (-value if sum(bra) % 2 else value)
 
 
+def test_word_inner_matches_ryser_on_every_pair_to_degree_six():
+    # the closed-form table against the explicit permanent, exhaustively
+    for d in range(7):
+        words = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        for bra in words:
+            for ket in words:
+                value = ryser_permanent(contraction_rows(bra, ket))
+                assert fock._word_inner(bra, ket) == (-value if d % 2 else value), (bra, ket)
+
+
+def test_word_inner_refuses_a_support_other_than_the_letter_tree(monkeypatch):
+    table = dict(fock.contraction_matrix())
+    table[("A", "A")] = LAM
+    monkeypatch.setattr(fock, "contraction_matrix", lambda: table)
+    fock._tree_weights.cache_clear()
+    fock._word_inner.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="letter tree"):
+            fock._word_inner((1, 0, 0), (1, 0, 0))
+    finally:
+        fock._tree_weights.cache_clear()
+        fock._word_inner.cache_clear()
+
+
 def test_word_inner_edge_cases():
     assert fock._word_inner((0, 0, 0), (0, 0, 0)) == ONE
     assert fock._word_inner((1, 1, 0), (0, 0, 1)) == ZERO
