@@ -26,8 +26,8 @@ from functools import lru_cache
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
-                   ground_state, identity_op, poly_var, variable, derivative, multiplication,
-                   _add_into, _conjugated)
+                   ground_state, identity_op, variable, derivative, symplectic,
+                   symplectic_inverse, linear_images, _add_into, _conjugated, _unit)
 from . import operators as _ops
 
 __all__ = [
@@ -185,41 +185,25 @@ _UVW_FORMS = ((ZERO, ONE, ZERO),
               (ZERO, G, -LAM))
 
 
-def _linear_images(matrix, space):
-    """Row i of ``matrix`` as a linear polynomial in the variables of ``space``."""
-    xs = [poly_var(j, space) for j in range(3)]
-    return tuple(sum((x.scale(c) for x, c in zip(xs, row)), Poly3({}, space))
-                 for row in matrix)
-
-
 @lru_cache(maxsize=None)
-def _uvw_images_in_zzb():
-    return _linear_images(_UVW_FORMS, SPACE_ZZB)
-
-
-@lru_cache(maxsize=None)
-def _zzb_images_in_uvw():
-    """(z, zb, x3) in (u, v, w): the inverse of the forms.  Its determinant
-    is -lam^2, so the division stays in the Laurent ring."""
-    return _linear_images(_inverse3(_UVW_FORMS), SPACE_UVW)
-
-
-def _uvw_change_images():
-    """Images of the zzb generators (z, zb, x3, dz, dzb, d3) in the uvw
-    algebra: the variables by the inverse change, and by the chain rule each
-    derivative d/dx_j by sum_i M[i][j] d/du_i, column j of the forms M."""
-    M = _UVW_FORMS
-    ders = tuple(sum((derivative(i, SPACE_UVW).scale(M[i][j]) for i in range(3)),
-                     WeylOperator({}, SPACE_UVW))
-                 for j in range(3))
-    return tuple(multiplication(p) for p in _zzb_images_in_uvw()) + ders
+def _uvw_images():
+    """The change to (u, v, w) as a picture M = blockdiag(F^-1, F^T): the zzb
+    variables by the inverse forms (determinant -lam^2), d/dx_j by the chain
+    rule, sum_i F[i][j] d/du_i.  Returns M's images, then as polynomials
+    (z, zb, x3) in (u, v, w) and, off M's inverse, (u, v, w) in (z, zb, x3)."""
+    zero = (ZERO,) * 3
+    M = symplectic([tuple(row) + zero for row in _inverse3(_UVW_FORMS)]
+                   + [zero + column for column in zip(*_UVW_FORMS)], "uvw change")
+    return (linear_images(M, SPACE_UVW),) + tuple(
+        linear_images([row[:3] for row in X[:3]], space)
+        for X, space in ((M, SPACE_UVW), (symplectic_inverse(M), SPACE_ZZB)))
 
 
 @lru_cache(maxsize=None)
 def uvw_picture(op: WeylOperator) -> WeylOperator:
     """A zzb operator conjugated by Psi0 and written in (u, v, w): its action
     on poly * Psi0, read on the (u, v, w) form of poly."""
-    return _conjugated(op).substitute(_uvw_change_images())
+    return _conjugated(op).substitute(_uvw_images()[0])
 
 
 def _letter_targets():
@@ -233,29 +217,25 @@ def _letter_targets():
     return out
 
 
+def _linear_form(op, name):
+    """A first-order operator's coefficients on the six generators."""
+    if any(sum(mono) != 1 for mono in op.terms):
+        raise ValueError(f"{name} is not a linear form in the generators: {op.render()}")
+    return tuple(op.terms.get(_unit(j), ZERO) for j in range(6))
+
+
 @lru_cache(maxsize=None)
 def _letter_images():
-    """Images of (z, zb, x3, dz, dzb, d3) in the Weyl algebra on the letters,
-    by inverting the catalogue letters; every divisor is a monomial.  Raises
-    ValueError unless they obey the canonical commutation relations, which
-    holds exactly when K is the letters' bracket table, and unless each
-    catalogue letter's picture is the letter itself."""
-    t = _letter_targets()
-    half = ONE / scalar(2)
-    zb = (t["A-"] - t["A+"]).scale(half / LAM)
-    x3 = ((t["C-"] - t["C+"]).scale(half) + zb.scale(G)).scale(ONE / LAM)
-    z = ((t["B-"] - t["B+"]).scale(half) + x3.scale(G)).scale(scalar(2) / LAM)
-    images = (z, zb, x3, (t["A+"] + t["A-"]).scale(half * half),
-              (t["B+"] + t["B-"]).scale(half), (t["C+"] + t["C-"]).scale(half))
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if images[i].commutator(images[j]) != (-1 if j == i + 3 else 0):
-                raise ValueError(f"letter images {i} and {j} break the commutation relations")
-    cat = _ops.catalogue()
-    for name, target in t.items():
-        if cat[name].substitute(images) != target:
-            raise ValueError(f"the letter picture of {name} is not the letter itself")
-    return images
+    """Images of (z, zb, x3, dz, dzb, d3) on the letters: the inverse of P, whose
+    rows are the catalogue's A+, B+, C+ and, as X- = sum_Y K[X, Y] dY+, K^-1
+    times its A-, B-, C- (det K is a monomial).  P keeps the commutation
+    relations exactly when K is the letters' bracket table."""
+    cat, K = _ops.catalogue(), contraction_matrix()
+    raising, lowering = ([_linear_form(cat[x + s], x + s) for x in _LETTERS] for s in "+-")
+    k_inv = _inverse3([[K[(x, y)] for y in _LETTERS] for x in _LETTERS])
+    ders = [tuple(sum((k * row[c] for k, row in zip(ks, lowering)), ZERO) for c in range(6))
+            for ks in k_inv]
+    return linear_images(symplectic_inverse(symplectic(raising + ders, "letter")), SPACE_ABC)
 
 
 @lru_cache(maxsize=None)
@@ -288,11 +268,11 @@ def verify_letter_picture() -> list:
 
 
 def uvw_poly_to_zzb(p: Poly3) -> Poly3:
-    return p.substitute(_uvw_images_in_zzb())
+    return p.substitute(_uvw_images()[2])
 
 
 def zzb_poly_to_uvw(p: Poly3) -> Poly3:
-    return p.substitute(_zzb_images_in_uvw())
+    return p.substitute(_uvw_images()[1])
 
 
 @lru_cache(maxsize=None)
@@ -362,22 +342,12 @@ def _covariance():
 
 
 def _inverse3(M):
-    """The inverse of a 3x3 matrix by cofactors."""
-    det = _det3(M)
-    return [[_cofactor(M, j, i) / det for j in range(3)] for i in range(3)]
-
-
-def _det3(M):
-    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-
-def _cofactor(M, i, j):
-    rows = [r for k, r in enumerate(M) if k != i]
-    m = [[v for k, v in enumerate(r) if k != j] for r in rows]
-    det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return det2 if (i + j) % 2 == 0 else -det2
+    """The inverse of a 3x3 matrix by cofactors, each signed by its cyclic indices."""
+    def cofactor(i, j):
+        (a, b), (c, d) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        return M[a][c] * M[b][d] - M[a][d] * M[b][c]
+    det = sum(M[0][j] * cofactor(0, j) for j in range(3))
+    return [[cofactor(j, i) / det for j in range(3)] for i in range(3)]
 
 
 @lru_cache(maxsize=None)

@@ -295,11 +295,17 @@ class SqrtTwoLamOperator:
     def _by_parts(self, other, binary):
         """``binary``, a product or bracket of Weyl operators, extended by parts:
         s is central and s^2 = 2*lam, so the even part is binary(e1, e2) +
-        2 lam binary(o1, o2) and the odd part binary(e1, o2) + binary(o1, e2)."""
+        2 lam binary(o1, o2) and the odd part binary(e1, o2) + binary(o1, e2), each
+        over its pairs with no empty operand (none left: the zero of e1's space)."""
         other = _as_ext(other)
-        even = binary(self.even, other.even) + binary(self.odd, other.odd).scale(_TWO_LAM)
-        odd = binary(self.even, other.odd) + binary(self.odd, other.even)
-        return SqrtTwoLamOperator(even, odd)
+        e1, o1, e2, o2 = self.even, self.odd, other.even, other.odd
+
+        def part(*pairs):
+            terms = [binary(a, b).scale(c) if c else binary(a, b)
+                     for a, b, c in pairs if a.terms and b.terms]
+            return sum(terms[1:], terms[0]) if terms else WeylOperator({}, e1.space)
+        return SqrtTwoLamOperator(part((e1, e2, None), (o1, o2, _TWO_LAM)),
+                                  part((e1, o2, None), (o1, e2, None)))
 
     def __mul__(self, other):
         return self._by_parts(other, operator.mul)

@@ -24,15 +24,15 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import product as _iproduct
+from itertools import combinations, product as _iproduct
 
-from .coeff import (ParamScalar, ONE, LAM, G, scalar, power, _scalar_atomic,
+from .coeff import (ParamScalar, ZERO, ONE, LAM, G, power, _scalar_atomic,
                     _lcd, _flatten, _accumulate, _collect)
 
 __all__ = [
     "SparseTerms", "WeylOperator", "Poly3", "GaussianState",
     "SPACE_ZZB", "SPACE_UVW", "SPACE_ABC", "variable", "derivative", "identity_op",
-    "multiplication",
+    "symplectic", "symplectic_inverse", "linear_images",
 ]
 
 SPACE_ZZB = "zzb"
@@ -389,22 +389,18 @@ def identity_op(space=SPACE_ZZB) -> WeylOperator:
     return WeylOperator({(0, 0, 0, 0, 0, 0): ONE}, space)
 
 
+def _unit(j: int, n: int = 6):
+    """The exponent tuple of generator j among n."""
+    return tuple(int(k == j) for k in range(n))
+
+
 def variable(i: int, space=SPACE_ZZB) -> WeylOperator:
     """Multiplication operator by the i-th variable (0, 1, 2)."""
-    mono = [0] * 6
-    mono[i] = 1
-    return WeylOperator({tuple(mono): ONE}, space)
+    return WeylOperator({_unit(i): ONE}, space)
 
 
 def derivative(i: int, space=SPACE_ZZB) -> WeylOperator:
-    mono = [0] * 6
-    mono[3 + i] = 1
-    return WeylOperator({tuple(mono): ONE}, space)
-
-
-def multiplication(poly: "Poly3") -> WeylOperator:
-    """The operator that multiplies by ``poly``."""
-    return WeylOperator({m + (0, 0, 0): c for m, c in poly.terms.items()}, poly.space)
+    return WeylOperator({_unit(3 + i): ONE}, space)
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +433,50 @@ def poly_one(space=SPACE_ZZB) -> Poly3:
 
 
 def poly_var(i, space=SPACE_ZZB) -> Poly3:
-    mono = [0, 0, 0]
-    mono[i] = 1
-    return Poly3({tuple(mono): ONE}, space)
+    return Poly3({_unit(i, 3): ONE}, space)
 
 
-def _conjugation_images():
-    """Images of the generators (z, zb, x3, dz, dzb, d3) under conjugation by
-    Psi0: Psi0^-1 d_i Psi0 = d_i + (d_i log Psi0)."""
-    z, zb, x3, dz, dzb, d3 = [variable(i) for i in range(3)] + [derivative(i) for i in range(3)]
-    half = scalar(1) / scalar(2)
-    return (z, zb, x3,
-            dz + zb.scale(-half * LAM),
-            dzb + z.scale(-half * LAM) + x3.scale(G),
-            d3 + x3.scale(-LAM) + zb.scale(G))
+# ---------------------------------------------------------------------------
+# Pictures: changes of variables as 6x6 matrices of linear forms
+# ---------------------------------------------------------------------------
+
+def symplectic(matrix, what):
+    """``matrix``, once its images keep the commutation relations, that is
+    M Omega M^T = Omega: rows a, b bracket to sum_k a[k+3] b[k] - a[k] b[k+3].
+    Raises ValueError naming the first of the 15 pairs that breaks."""
+    for (i, a), (j, b) in combinations(enumerate(matrix), 2):
+        if sum((a[k + 3] * b[k] - a[k] * b[k + 3] for k in range(3)), ZERO) != -(j == i + 3):
+            raise ValueError(f"{what} images {i} and {j} break the commutation relations")
+    return matrix
 
 
-CONJUGATION_IMAGES = _conjugation_images()
+def symplectic_inverse(M):
+    """-Omega M^T Omega, the block transpose [[D^T, -B^T], [-C^T, A^T]] of a
+    symplectic [[A, B], [C, D]]: its inverse, with no elimination."""
+    return tuple(tuple(M[(j + 3) % 6][(i + 3) % 6] if (i < 3) == (j < 3)
+                       else -M[(j + 3) % 6][(i + 3) % 6] for j in range(6)) for i in range(6))
+
+
+def linear_images(matrix, space):
+    """Row i of ``matrix`` as generator i's image for :meth:`SparseTerms.substitute`,
+    sum_k M[i][k] g_k over the generators g of ``space``: an operator for a
+    row of six, a polynomial for a row of three."""
+    return tuple((WeylOperator if len(row) == 6 else Poly3)(
+        {_unit(j, len(row)): c for j, c in enumerate(row)}, space) for row in matrix)
+
+
+# d_i log Psi0 as linear forms in (z, zb, x3), stated once: the Hessian of log Psi0
+_LOG_PSI0_GRADIENT = ((ZERO, -LAM / 2, ZERO), (-LAM / 2, ZERO, G), (ZERO, G, -LAM))
+
+
+@lru_cache(maxsize=None)
+def _psi0_images():
+    """Conjugation by Psi0 as a picture: x_i stays and d_i goes to
+    d_i + d_i log Psi0, so [[1, 0], [H, 1]] with H the gradient table,
+    which keeps the commutation relations exactly when H is symmetric."""
+    matrix = [tuple(ONE if k == i else ZERO for k in range(6)) for i in range(3)]
+    matrix += [tuple(h) + matrix[i][:3] for i, h in enumerate(_LOG_PSI0_GRADIENT)]
+    return linear_images(symplectic(matrix, "Psi0 conjugation"), SPACE_ZZB)
 
 
 @lru_cache(maxsize=16)
@@ -461,7 +484,7 @@ def _conjugated(op: WeylOperator) -> WeylOperator:
     """Psi0^-1 op Psi0: the operator whose action on a bare polynomial is
     ``op``'s action on the polynomial times Psi0.  The bound keeps the
     catalogue's letters warm and lets one-off operators go."""
-    return op.substitute(CONJUGATION_IMAGES)
+    return op.substitute(_psi0_images())
 
 
 class GaussianState(SparseTerms):

@@ -299,8 +299,8 @@ def test_raising_letters_in_the_uvw_picture():
 
 
 def test_uvw_change_images_match_their_table():
-    # the images that fock derives from the forward forms, against the table
-    # once written out by hand
+    # the images that fock reads off the uvw matrix, against the table once
+    # written out by hand
     u, v, w = (variable(i, SPACE_UVW) for i in range(3))
     du, dv, dw = (derivative(i, SPACE_UVW) for i in range(3))
     lam2 = LAM * LAM
@@ -312,13 +312,14 @@ def test_uvw_change_images_match_their_table():
         du + dw.scale(G),
         dv.scale(2 * G) + dw.scale(-LAM),
     )
-    assert fock._uvw_change_images() == table
-    assert fock._zzb_images_in_uvw() == tuple(
+    assert fock._uvw_images()[0] == table
+    assert fock._uvw_images()[1] == tuple(
         Poly3({m[:3]: c for m, c in x.terms.items()}, SPACE_UVW) for x in table[:3])
 
 
 def test_uvw_change_images_keep_the_commutation_relations():
-    images = fock._uvw_change_images()
+    # brackets of the operators themselves, apart from the matrix guard
+    images = fock._uvw_images()[0]
     xs, ds = images[:3], images[3:]
     ident = identity_op(SPACE_UVW)
     for i in range(3):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadosc.coeff import LAM, G, I, ONE, ParamScalar, scalar
 from quadosc.weyl import WeylOperator, SPACE_ZZB, identity_op
-from quadosc import coeff, operators as ops
+from quadosc import coeff, fock, weyl, operators as ops
 
 
 def assert_all_verified(records):
@@ -152,6 +152,42 @@ def test_extension_bracket_with_mixed_operands(x, w, k):
     for left, right in ((x, w), (w, x), (x, k), (w, k)):
         assert left.commutator(right) == left * right - right * left
         assert left.anticommutator(right) == left * right + right * left
+
+
+def four_part_formula(x, y, binary):
+    """The by-parts rule with all four part brackets formed, empty or not."""
+    return ops.SqrtTwoLamOperator(binary(x.even, y.even) + binary(x.odd, y.odd).scale(2 * LAM),
+                                  binary(x.even, y.odd) + binary(x.odd, y.even))
+
+
+@_BRACKET_SETTINGS
+@given(weyl_operators(), weyl_operators(), extension_elements())
+def test_skipped_parts_match_the_four_part_formula(w1, w2, z):
+    # purely even, purely odd and mixed operands, in every order
+    operands = (ops.SqrtTwoLamOperator.of(w1), ops.SqrtTwoLamOperator.s_times(w2), z)
+    for x in operands:
+        for y in operands:
+            for sign in (-1, 1):
+                assert x._bracket(y, sign) == \
+                    four_part_formula(x, y, lambda a, b: a._bracket(b, sign))
+            assert x * y == four_part_formula(x, y, lambda a, b: a * b)
+
+
+def test_by_parts_skips_empty_operands_and_keeps_the_space(monkeypatch):
+    # an even and an odd letter-picture operand: one of the four part brackets
+    # has two non-empty operands, and the empty parts stay in the letter space
+    even = ops.SqrtTwoLamOperator.of(fock.letter_picture(ops.op("E12")))
+    odd = ops.SqrtTwoLamOperator.s_times(fock.letter_picture(ops.op("A+")))
+    calls = []
+    contract = weyl._contract
+    monkeypatch.setattr(weyl, "_contract", lambda *a: calls.append(a) or contract(*a))
+    bracket = even.commutator(odd)
+    assert len(calls) == 1
+    assert bracket == four_part_formula(even, odd, lambda a, b: a.commutator(b))
+    assert bracket.even.is_zero() and not bracket.odd.is_zero()
+    assert bracket.even.space == bracket.odd.space == weyl.SPACE_ABC
+    nothing = ops.SqrtTwoLamOperator(weyl.WeylOperator({}, weyl.SPACE_ABC))
+    assert nothing.commutator(odd).even.space == weyl.SPACE_ABC
 
 
 def test_extension_equality_with_foreign_values():

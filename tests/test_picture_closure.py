@@ -157,9 +157,9 @@ def reference_substitute(value, images):
 @pytest.mark.parametrize("name", sorted(ops.catalogue()))
 def test_integer_substitution_matches_the_scalar_reference(name):
     op = ops.op(name)
-    conjugated = reference_substitute(op, weyl.CONJUGATION_IMAGES)
-    assert op.substitute(weyl.CONJUGATION_IMAGES) == conjugated
-    uvw = fock._uvw_change_images()
+    conjugated = reference_substitute(op, weyl._psi0_images())
+    assert op.substitute(weyl._psi0_images()) == conjugated
+    uvw = fock._uvw_images()[0]
     assert conjugated.substitute(uvw) == reference_substitute(conjugated, uvw)
     letters = reference_substitute(op, fock._letter_images())
     assert op.substitute(fock._letter_images()) == letters
@@ -168,7 +168,7 @@ def test_integer_substitution_matches_the_scalar_reference(name):
 
 def test_integer_substitution_of_polynomials_and_of_zero():
     state = fock.to_gaussian_state(fock.expand_q_power(2)).poly
-    images = fock._zzb_images_in_uvw()
+    images = fock._uvw_images()[1]
     assert state.substitute(images) == reference_substitute(state, images)
     zero = weyl.WeylOperator({}, weyl.SPACE_ZZB)
     assert fock.letter_picture(zero) == weyl.WeylOperator({}, weyl.SPACE_ABC)
