@@ -224,33 +224,41 @@ def verify_T_vanishing(max_k: int, max_n: int) -> list:
     return out
 
 
-def verify_q_identities(k_max: int, n_max: int) -> list:
-    """Bracket identities for powers of the double-step operator and the
-    letter actions on its powers applied to the ground state."""
-    cat = _ops.catalogue()
-    out = []
-    Qp, Qm = cat["Q+"], cat["Q-"]
+def _bracket_sides(k_max: int, n_max: int, pic: dict) -> list:
+    """(id, anchor, lhs, rhs) of the brackets [Q-, (Q+)^k] and [Q-, (B+)^n],
+    on the letter pictures ``pic`` of the catalogue operators, where powers
+    of the raising letters are polynomials in the letters."""
     lam, g = LAM, G
-    one = identity_op()
+    Qp, Qm, Bp = pic["Q+"], pic["Q-"], pic["B+"]
+    one = _fock.letter_picture(identity_op())
+    out = []
     for k in range(1, k_max + 1):
-        rhs = (Qp ** (k - 1) * (cat["H"].scale(lam) - cat["V"].scale(g)
+        rhs = (Qp ** (k - 1) * (pic["H"].scale(lam) - pic["V"].scale(g)
                                 + one.scale(scalar(2 * k + 1) * lam * lam))).scale(scalar(8 * k))
         if k >= 2:
-            rhs = rhs - (Qp ** (k - 2) * cat["A+"] * cat["A+"]).scale(
+            rhs = rhs - (Qp ** (k - 2) * pic["A+"] * pic["A+"]).scale(
                 scalar(16 * k * (k - 1)) * g * g)
-        out.append(record(f"biortho/q-bracket-k{k}",
-                          "bracket of the lowering double-step with a power of the raising one",
-                          Qm.commutator(Qp ** k), rhs))
+        out.append((f"biortho/q-bracket-k{k}",
+                    "bracket of the lowering double-step with a power of the raising one",
+                    Qm.commutator(Qp ** k), rhs))
     for n in range(1, n_max + 1):
-        Bp = cat["B+"]
-        rhs = ((Bp ** (n - 1) * cat["B-"]).scale(scalar(-4 * n) * lam)
-               + (Bp ** (n - 1) * cat["C-"]).scale(scalar(-4 * n) * g))
+        rhs = ((Bp ** (n - 1) * pic["B-"]).scale(scalar(-4 * n) * lam)
+               + (Bp ** (n - 1) * pic["C-"]).scale(scalar(-4 * n) * g))
         if n >= 2:
             rhs = rhs - (Bp ** (n - 2)).scale(scalar(4 * n * (n - 1)) * g * g)
-        out.append(record(f"biortho/qb-bracket-n{n}",
-                          "bracket with a power of the second raising letter",
-                          Qm.commutator(Bp ** n), rhs))
-    lower = {x: _fock.letter_picture(cat[x]) for x in ("Q-", "B-", "C-")}
+        out.append((f"biortho/qb-bracket-n{n}",
+                    "bracket with a power of the second raising letter",
+                    Qm.commutator(Bp ** n), rhs))
+    return out
+
+
+def verify_q_identities(k_max: int, n_max: int) -> list:
+    """Bracket identities for powers of the double-step operator and the
+    letter actions on its powers applied to the ground state, all on one set
+    of letter pictures."""
+    lam, g = LAM, G
+    pic = _fock.pictures(("Q+", "Q-", "H", "V", "A+", "B+", "B-", "C-"))
+    out = [record(*sides) for sides in _bracket_sides(k_max, n_max, pic)]
     for k in range(1, k_max + 1):
         qk, qk1 = _fock.expand_q_power(k), _fock.expand_q_power(k - 1)
         lowered = qk1.scale(scalar(8 * k * (2 * k + 1)) * lam * lam)
@@ -259,15 +267,15 @@ def verify_q_identities(k_max: int, n_max: int) -> list:
                                  ).scale(scalar(16 * k * (k - 1)) * g * g)
         out.append(record(
             f"biortho/q-lower-k{k}", "lowering the double-step power on the ground state",
-            lower["Q-"].apply_poly(qk), lowered))
+            pic["Q-"].apply_poly(qk), lowered))
         out.append(record(
             f"biortho/b-lower-k{k}", "second letter lowering on double-step powers",
-            lower["B-"].apply_poly(qk),
+            pic["B-"].apply_poly(qk),
             (CreationPolynomial.word(0, 1, 0).scale(scalar(-4 * k) * lam)
              + CreationPolynomial.word(0, 0, 1).scale(scalar(-4 * k) * g)) * qk1))
         out.append(record(
             f"biortho/c-lower-k{k}", "third letter lowering on double-step powers",
-            lower["C-"].apply_poly(qk),
+            pic["C-"].apply_poly(qk),
             (CreationPolynomial.word(1, 0, 0).scale(scalar(4 * k) * g)
              + CreationPolynomial.word(0, 0, 1).scale(scalar(4 * k) * lam)) * qk1))
     return out
@@ -397,19 +405,18 @@ def verify_oracle_agreement(max_total: int) -> list:
              for j in range(max_total + 1)
              for l in range(max_total + 1)
              if i + j + l <= max_total]
+    polys = {w: CreationPolynomial.word(*w) for w in words}
+    states = {w: _fock._word_state(w) for w in words}
     out = []
     ok = True
     witness = None
     count = 0
     for idx, w1 in enumerate(words):
-        p1 = CreationPolynomial.word(*w1)
-        s1 = _fock.to_gaussian_state(p1)
         for w2 in words[idx:]:
             if sum(w1) + sum(w2) > max_total:
                 continue
-            p2 = CreationPolynomial.word(*w2)
-            a = wick_inner(p1, p2)
-            b = _fock.gaussian_moment_inner(s1, _fock.to_gaussian_state(p2))
+            a = wick_inner(polys[w1], polys[w2])
+            b = _fock.gaussian_moment_inner(states[w1], states[w2])
             count += 1
             if a != b:
                 ok = False

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import operator
@@ -117,6 +116,7 @@ def _writing(path, **open_args):
 
 def _write_table(rows, header, csv_path):
     if csv_path:
+        import csv   # here, so that no other command loads it
         with _writing(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)

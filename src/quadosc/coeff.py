@@ -138,6 +138,13 @@ def _lcd(values):
     return d
 
 
+def _integer_form(c):
+    """(d, items) with c = sum of (re + i*im) lam^e_lam g^e_g over d for the
+    ((e_lam, e_g), (re, im)) of ``items``: the integer denominator and the
+    Laurent map of a value, for kernels that sum products as integers."""
+    return c._den[_UNIT][0], c._num.items()
+
+
 def _flatten(terms, d: int):
     """The values of ``terms`` as (key, rows) pairs, rows the (e_lam, e_g, re,
     im) of the Laurent map d*value, for d a multiple of every denominator."""

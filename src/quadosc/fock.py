@@ -11,10 +11,11 @@ The two engines are deliberately unrelated:
   constant cross-brackets of the letters, reducing each monomial pairing to a
   signed matrix permanent, read off the one table of letter-pair counts that
   its margins allow.
-* :func:`gaussian_moment_inner` works directly with wavefunctions: it
-  multiplies them in (z, zb, x3) and sums each monomial's formal Gaussian
-  moment, paired by Isserlis' recursion over the covariance of Psi0^2 in
-  (z, zb, x3), the exact inverse of its quadratic form, once per monomial.
+* :func:`gaussian_moment_inner` works directly with wavefunctions: it sums
+  c1 * c2 times the formal Gaussian moment of m1 * m2 over their term pairs
+  in (z, zb, x3), as integers; each moment is paired by Isserlis' recursion
+  over the covariance of Psi0^2 in (z, zb, x3), the exact inverse of its
+  quadratic form, once per monomial.
 
 Their agreement on a sweep of states is one of the acceptance criteria.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
+from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar, _lcd, _integer_form, _collect
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
                    ground_state, identity_op, variable, derivative, symplectic,
                    symplectic_inverse, linear_images, _add_into, _conjugated, _unit)
@@ -34,7 +35,7 @@ __all__ = [
     "CreationPolynomial", "contraction_matrix", "expand_q_power",
     "wick_inner", "gaussian_moment_inner", "to_gaussian_state",
     "gaussian_state_to_creation", "uvw_poly_to_zzb", "zzb_poly_to_uvw",
-    "letter_picture", "verify_contraction_matrix", "verify_letter_picture",
+    "letter_picture", "pictures", "verify_contraction_matrix", "verify_letter_picture",
 ]
 
 _LETTERS = ("A", "B", "C")
@@ -248,8 +249,18 @@ def _letter_monomial(mono) -> WeylOperator:
 @lru_cache(maxsize=None)
 def letter_picture(op: WeylOperator) -> WeylOperator:
     """A zzb operator acting on creation polynomials (the Bargmann-Fock
-    picture): ``op`` on p(A+, B+, C+) Psi0 is (letter_picture(op) p) Psi0."""
+    picture): ``op`` on p(A+, B+, C+) Psi0 is (letter_picture(op) p) Psi0.
+    An operator of any other space raises ValueError: a picture is not
+    pictured again."""
+    if op.space != SPACE_ZZB:
+        raise ValueError(f"the letter picture takes zzb operators, not {op.space}")
     return op._sum_images(_letter_monomial, _letter_images()[0])
+
+
+def pictures(names) -> dict:
+    """The letter pictures of the catalogue operators ``names``, by name."""
+    cat = _ops.catalogue()
+    return {name: letter_picture(cat[name]) for name in names}
 
 
 def verify_letter_picture() -> list:
@@ -372,11 +383,40 @@ def _moment(e) -> ParamScalar:
 
 
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:
-    """Independent oracle: int bra ket Psi0^2 / int Psi0^2 by formal Gaussian
-    moments, tabulated per zzb monomial of the product bra * ket."""
-    total = ZERO
-    for mono, coeff in (bra.poly * ket.poly).terms.items():
-        m = _moment(mono)
-        if not m.is_zero():
-            total = total + coeff * m
-    return total
+    """Independent oracle: int bra ket Psi0^2 / int Psi0^2, the sum of
+    c1 * c2 * <m1 + m2> over the term pairs of bra and ket, with each zzb
+    monomial's formal Gaussian moment <m> tabulated.  No product polynomial
+    is formed: the triple products are summed as Gaussian integers over the
+    operands' common denominators d1*d2, one sum per moment denominator and
+    exponent pair; the sums then meet over the moments' common denominator,
+    and the total is canonicalized once."""
+    d1, d2 = _lcd(bra.terms.values()), _lcd(ket.terms.values())
+    kets = []
+    for mono, coeff in ket.terms.items():
+        d, num = _integer_form(coeff)
+        kets.append((mono, d2 // d, num))
+    moments, acc = {}, {}
+    for (a, b, c), c1 in bra.terms.items():
+        d, num1 = _integer_form(c1)
+        k1 = d1 // d
+        for (x, y, z), k2, num2 in kets:
+            if (a + b + c + x + y + z) % 2:
+                continue   # odd moments vanish
+            m = (a + x, b + y, c + z)
+            if m not in moments:
+                moments[m] = _integer_form(_moment(m))
+            d3, num3 = moments[m]
+            k = k1 * k2
+            for (e, f), (r1, i1) in num1:
+                for (p, q), (r2, i2) in num2:
+                    re, im = (r1 * r2 - i1 * i2) * k, (r1 * i2 + i1 * r2) * k
+                    for (s, t), (r3, i3) in num3:
+                        key = (d3, e + p + s, f + q + t)
+                        cur = acc.get(key, (0, 0))
+                        acc[key] = (cur[0] + re * r3 - im * i3, cur[1] + re * i3 + im * r3)
+    d3 = math.lcm(*(d for d, _ in moments.values()))
+    total = {}
+    for (d, e, f), (re, im) in acc.items():
+        cur = total.get((None, (e, f)), (0, 0))
+        total[None, (e, f)] = (cur[0] + re * (d3 // d), cur[1] + im * (d3 // d))
+    return _collect(total, d1 * d2 * d3).get(None, ZERO)

@@ -131,35 +131,40 @@ def _guarded(table, n, p, q):
     return table(n, p, q) if 0 <= q <= p else ZERO
 
 
+# the recursions' common factors, formed once
+_MINUS_2G = scalar(-2) * G
+_FOUR_G2 = scalar(4) * G * G
+
+
 def rec_b_from_a(n: int, p: int, q: int) -> ParamScalar:
     """Odd-step coefficients from the even-step table (first cross relation)."""
-    return scalar(-2) * G * (scalar(2 * p - 2 * q + 2) * _guarded(coeff_a, n, p, q - 1)
-                             + scalar(n - 2 * p + q) * _guarded(coeff_a, n, p, q))
+    return _MINUS_2G * ((2 * p - 2 * q + 2) * _guarded(coeff_a, n, p, q - 1)
+                        + (n - 2 * p + q) * _guarded(coeff_a, n, p, q))
 
 
 def rec_a_from_b(n: int, p1: int, q: int) -> ParamScalar:
     """Even-step coefficients at level p1 = p + 1 from the odd-step table."""
     p = p1 - 1
-    return scalar(-2) * G * (scalar(2 * p + 3 - 2 * q) * _guarded(coeff_b, n, p, q - 1)
-                             + scalar(n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
+    return _MINUS_2G * ((2 * p + 3 - 2 * q) * _guarded(coeff_b, n, p, q - 1)
+                        + (n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
 
 
 def rec_a_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure even-step recursion from level p = p1 - 1."""
     p = p1 - 1
-    return scalar(4) * G * G * (
-        scalar(2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _guarded(coeff_a, n, p, q - 2)
-        + scalar(n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _guarded(coeff_a, n, p, q - 1)
-        + scalar(n - 2 * p + q - 1) * (n - 2 * p + q) * _guarded(coeff_a, n, p, q))
+    return _FOUR_G2 * (
+        (2 * p - 2 * q + 3) * (2 * p - 2 * q + 4) * _guarded(coeff_a, n, p, q - 2)
+        + (n - 2 * p + q - 1) * (4 * p - 4 * q + 5) * _guarded(coeff_a, n, p, q - 1)
+        + (n - 2 * p + q - 1) * (n - 2 * p + q) * _guarded(coeff_a, n, p, q))
 
 
 def rec_b_step(n: int, p1: int, q: int) -> ParamScalar:
     """Pure odd-step recursion from level p = p1 - 1."""
     p = p1 - 1
-    return scalar(4) * G * G * (
-        scalar(2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _guarded(coeff_b, n, p, q - 2)
-        + scalar(n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _guarded(coeff_b, n, p, q - 1)
-        + scalar(n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
+    return _FOUR_G2 * (
+        (2 * p - 2 * q + 4) * (2 * p - 2 * q + 5) * _guarded(coeff_b, n, p, q - 2)
+        + (n - 2 * p + q - 2) * (4 * p - 4 * q + 7) * _guarded(coeff_b, n, p, q - 1)
+        + (n - 2 * p + q - 2) * (n - 2 * p + q - 1) * _guarded(coeff_b, n, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +449,35 @@ def verify_coefficient_recursions(n_max: int) -> list:
     return out
 
 
-def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
-    """Shift relations for powers of the three raising letters.
-
-    The correction term for the second letter is -2*p*g*(B+)^(p-1)*C+, and
-    -2*p*g*A+*(C+)^(p-1) for the third; a printed source shows a q in place
-    of that g, which fails symbolically.  The n-th relation
-    (H - 2*n*lam) X^p = X^p (H - 2*(n-p)*lam) + correction is the same for
-    every n: [H, X^p] = 2*p*lam X^p + correction.  So each bracket is taken
-    once and serves the records of all n.
-    """
-    cat = _ops.catalogue()
+def _shift_sides(p_max: int) -> dict:
+    """The two sides of [H, X^p] = 2*p*lam X^p + correction for each raising
+    letter X and 1 <= p <= p_max, keyed (X, p), in the letter picture, where
+    X^p is one monomial.  The correction is -2*p*g*(B+)^(p-1)*C+ for the
+    second letter and -2*p*g*A+*(C+)^(p-1) for the third; a printed source
+    shows a q in place of that g, which fails symbolically."""
+    pic = _fock.pictures(("H", "A+", "B+", "C+"))
+    one = _fock.letter_picture(identity_op())
     sides = {}
     for x in "ABC":
-        letter, prev = cat[f"{x}+"], identity_op()
+        letter, prev = pic[f"{x}+"], one
         for p in range(1, p_max + 1):
             xp = letter if p == 1 else prev * letter
             target = xp.scale(scalar(2 * p) * LAM)
             if x != "A":
-                correction = prev * cat["C+"] if x == "B" else cat["A+"] * prev
+                correction = prev * pic["C+"] if x == "B" else pic["A+"] * prev
                 target = target - correction.scale(scalar(2 * p) * G)
-            sides[(x, p)] = (cat["H"].commutator(xp), target)
+            sides[(x, p)] = (pic["H"].commutator(xp), target)
             prev = xp
+    return sides
+
+
+def verify_auxiliary_relations(n_max: int, p_max: int) -> list:
+    """Shift relations for powers of the three raising letters.  The n-th
+    relation (H - 2*n*lam) X^p = X^p (H - 2*(n-p)*lam) + correction is the
+    same for every n: [H, X^p] = 2*p*lam X^p + correction.  So each bracket
+    is taken once, by :func:`_shift_sides`, and serves the records of all n.
+    """
+    sides = _shift_sides(p_max)
     out = []
     for n in range(0, n_max + 1):
         for p in range(1, p_max + 1):
@@ -488,7 +500,7 @@ def _action_records(max_k: int, max_n: int, kind: str, anchor: str, op_names,
     """The letter picture of each catalogue operator of ``op_names`` applied
     to every member with label in ``_labels(max_k, max_n)``, against the
     claimed expansion ``expansions(label)[op_name]``, taken once per label."""
-    pictures = {name: _fock.letter_picture(_ops.catalogue()[name]) for name in op_names}
+    pictures = _fock.pictures(op_names)
     out = []
     for label in _labels(max_k, max_n):
         member = build_state(label).creation

@@ -97,9 +97,21 @@ class VerificationReport:
 
 def report_text(doc: dict) -> str:
     """The canonical text of a report document, written in one piece: the
-    bytes ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline give,
-    without the encoder's many small writes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    bytes ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline give.
+
+    The records, flat objects, are encoded by the C encoder with a bare
+    newline between items.  A raw newline cannot occur inside an escaped
+    JSON string, and no record value ends in ``}``, so every newline is an
+    item separator and ``}`` newline ``{`` marks the one between records:
+    two replacements give the indented layout.  The rest of the document, a few
+    lines, goes through the indenting encoder."""
+    head = json.dumps({**doc, "records": 0}, indent=2, sort_keys=True)
+    records = "[]"
+    if doc["records"]:
+        flat = json.dumps(doc["records"], sort_keys=True, separators=("\n", ": "))
+        records = ("[\n    {\n      " + flat[2:-2].replace("\n", ",\n      ").replace(
+            "},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]")
+    return head.replace('\n  "records": 0', '\n  "records": ' + records, 1) + "\n"
 
 
 def merge_reports(dicts) -> dict:

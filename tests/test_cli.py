@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import io
 import itertools
@@ -18,7 +19,7 @@ import pytest
 import quadosc
 from quadosc import expr, fock, weyl
 from quadosc.cli import main
-from quadosc.report import SCHEMA, VerificationReport, merge_reports
+from quadosc.report import SCHEMA, VerificationReport, merge_reports, report_text
 from quadosc.operators import IdentityRecord
 
 
@@ -116,7 +117,7 @@ def test_suites_never_import_sympy():
             assert main(["state", "--k", "1", "--n", "1", "--m", "2", "--repr", "uvw"]) == 0
             assert main(["inner", "A+*B+", "C+^2"]) == 0
             assert main(["inner", "(A+*B+)^2 + 3*C+^4", "2*B+^2*A+*I*A+"]) == 0
-        for name in ("concurrent.futures", "multiprocessing"):
+        for name in ("concurrent.futures", "multiprocessing", "csv"):
             assert name not in sys.modules, name + " imported"
         sys.exit(main(["commutator", "H/(lam-g)"]))
     """)
@@ -126,6 +127,14 @@ def test_suites_never_import_sympy():
     assert proc.stdout == ""
     # the whole of stderr: the divisor named, and no traceback
     assert proc.stderr == "error: cannot divide by lam - g: not a unit times a monomial\n"
+
+
+def test_importing_the_cli_loads_no_csv():
+    # only `tabulate --csv` writes CSV, so only it imports the module
+    script = "import sys, quadosc.cli; sys.exit('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_tracer_installs_and_counts_every_record(tmp_path):
@@ -356,29 +365,51 @@ def test_report_merge(tmp_path, capsys):
     assert suites == {"ladder", "integrals"}
 
 
-def test_reports_are_the_bytes_json_dump_writes(tmp_path, capsys):
+def dumped(doc):
+    """The bytes the streaming encoder writes, and a newline."""
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True)
+    return (buf.getvalue() + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def all_report(tmp_path_factory):
+    """Exit code and path of one `verify --suite all --json` run."""
+    path = tmp_path_factory.mktemp("all") / "all.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--suite", "all", "--json", str(path)])
+    return code, path
+
+
+def test_reports_are_the_bytes_json_dump_writes(tmp_path, capsys, all_report):
     # one write of the canonical text, byte for byte what the streaming
-    # encoder gives, for a report with a failed record and a note
+    # encoder gives: for a report with a failed record and a note, for text
+    # that holds the records' separator, quotes, a backslash, a non-ASCII
+    # letter and a tab, for a float time, for no records at all, and for
+    # the full report of every suite
     rep = VerificationReport("custom")
     rep.add("custom", [IdentityRecord("custom/y", "synthetic", "verified", "0", 1.25),
                        IdentityRecord("custom/x", "synthetic", "failed", "1 - lam",
-                                      note="a note")])
-
-    def dumped(doc):
-        buf = io.StringIO()
-        json.dump(doc, buf, indent=2, sort_keys=True)
-        return (buf.getvalue() + "\n").encode()
-
-    for timing in (False, True):
-        path = tmp_path / f"r{timing}.json"
-        rep.write_json(str(path), timing=timing)
-        assert path.read_bytes() == dumped(rep.to_json_dict(timing=timing))
+                                      note="a note"),
+                       IdentityRecord("custom/}\n{", 'a "quoted" anchor \\', "failed",
+                                      "caf\u00e9\t}\n{", 0.1 + 0.2, note='}\n{"\\')])
+    reports = [(rep, False), (rep, True), (VerificationReport("empty"), False)]
+    paths = []
+    for i, (report, timing) in enumerate(reports):
+        path = tmp_path / f"r{i}.json"
+        report.write_json(str(path), timing=timing)
+        assert path.read_bytes() == dumped(report.to_json_dict(timing=timing))
+        paths.append(path)
+    assert [r["ms"] for r in json.loads(paths[1].read_text())["records"]] == [0.0, 1.25, 0.3]
+    assert '"records": []' in paths[2].read_text()
     out_path = tmp_path / "merged.json"
-    code, _, _ = run(capsys, "report", "--merge", "--out", str(out_path),
-                     str(tmp_path / "rFalse.json"), str(tmp_path / "rTrue.json"))
+    code, _, _ = run(capsys, "report", "--merge", "--out", str(out_path), *map(str, paths))
     assert code == 1
-    docs = [json.loads((tmp_path / f"r{t}.json").read_text()) for t in (False, True)]
+    docs = [json.loads(path.read_text()) for path in paths]
     assert out_path.read_bytes() == dumped(merge_reports(docs))
+    assert report_text(merge_reports([docs[2]])).encode() == dumped(merge_reports([docs[2]]))
+    _, path = all_report
+    assert path.read_bytes() == dumped(json.loads(path.read_text()))
 
 
 def test_report_merge_failed_records_exit_one(tmp_path, capsys):
@@ -531,12 +562,11 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert len(built) == first          # calls 2 to 20 construct none
 
 
-def test_verify_all_fails_only_the_documented_record(tmp_path, capsys):
+def test_verify_all_fails_only_the_documented_record(all_report):
     # every suite at default bounds: the degenerate cross-block pairing is the
     # one red record, with its documented residual; any other failure, or a
     # changed residual, shows up here
-    path = tmp_path / "all.json"
-    code, _, _ = run(capsys, "verify", "--suite", "all", "--json", str(path))
+    code, path = all_report
     doc = json.loads(path.read_text())
     jsonschema.validate(doc, SCHEMA)
     failed = [(r["suite"], r["id"], r["residual"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from quadosc.coeff import LAM, G, I, ONE, ZERO, scalar
 from quadosc.weyl import (ground_state, GaussianState, Poly3, WeylOperator, SPACE_ZZB,
                           SPACE_UVW, poly_var)
-from quadosc import fock
+from quadosc import biortho, fock, weyl
 from quadosc import operators as ops
 from quadosc.fock import CreationPolynomial, wick_inner, gaussian_moment_inner
 
@@ -164,6 +164,16 @@ def test_letter_images_reject_a_wrong_contraction_entry(monkeypatch):
     monkeypatch.setattr(fock, "contraction_matrix", lambda: K)
     with pytest.raises(ValueError, match="commutation relations"):
         fock._letter_images.__wrapped__()
+
+
+@pytest.mark.parametrize("space", [weyl.SPACE_ABC, SPACE_UVW])
+def test_letter_picture_takes_only_zzb_operators(space):
+    # a picture pictured again would read its letters as z, zb, x3
+    op = WeylOperator({(1, 0, 0, 0, 1, 0): ONE}, space)
+    with pytest.raises(ValueError, match="zzb"):
+        fock.letter_picture(op)
+    with pytest.raises(ValueError, match="zzb"):
+        fock.letter_picture(fock.letter_picture(ops.op("Q-")))
 
 
 def test_picture_suite_records():
@@ -467,6 +477,59 @@ def test_moment_table_matches_the_product_substitution(bra, ket, extra, c):
     # a ket whose terms carry two different denominators
     mixed = ket + extra.scale(c)
     assert gaussian_moment_inner(bra, mixed) == moment_of_product_oracle(bra, mixed)
+
+
+def word_states(max_total):
+    """Each creation word of degree <= max_total and its zzb state."""
+    return {w: fock.to_gaussian_state(CreationPolynomial.word(*w))
+            for w in itertools.product(range(max_total + 1), repeat=3) if sum(w) <= max_total}
+
+
+def word_pairs_to(max_total):
+    words = sorted(word_states(max_total))
+    return [(w1, w2) for i, w1 in enumerate(words) for w2 in words[i:]
+            if sum(w1) + sum(w2) <= max_total]
+
+
+def test_integer_moment_pairing_matches_the_real_coordinate_oracle_to_degree_six():
+    states = word_states(6)
+    pairs = word_pairs_to(6)
+    assert len(pairs) == 472
+    for w1, w2 in pairs:
+        bra, ket = states[w1], states[w2]
+        assert gaussian_moment_inner(bra, ket) == moment_of_product_oracle(bra, ket), (w1, w2)
+
+
+@pytest.fixture
+def fresh_moments():
+    # request it before monkeypatch, so that it clears again after the undo
+    fock._moment.cache_clear()
+    yield
+    fock._moment.cache_clear()
+
+
+def test_a_perturbed_covariance_turns_only_the_moment_engine_red(fresh_moments, monkeypatch):
+    # the moment engine reads the covariance and nothing of the contraction
+    # table; the Wick engine reads the table and nothing of the covariance
+    words = word_states(4)
+    wick = {(w1, w2): wick_inner(CreationPolynomial.word(*w1), CreationPolynomial.word(*w2))
+            for w1, w2 in word_pairs_to(4)}
+    cov = [list(row) for row in fock._covariance()]
+    cov[2][2] = cov[2][2] * 2
+    monkeypatch.setattr(fock, "_covariance", lambda: tuple(map(tuple, cov)))
+    fock._moment.cache_clear()
+    agreement = biortho.verify_oracle_agreement(4)[0]
+    assert agreement.id == "biortho/oracle-agreement" and not agreement.ok
+    assert gaussian_moment_inner(words[(0, 0, 1)], words[(0, 0, 1)]) != \
+        wick[((0, 0, 1), (0, 0, 1))]
+    for (w1, w2), value in wick.items():
+        assert wick_inner(CreationPolynomial.word(*w1), CreationPolynomial.word(*w2)) == value
+
+
+def test_the_moment_pairing_of_empty_states_is_zero():
+    empty = GaussianState(Poly3({}, SPACE_ZZB))
+    assert gaussian_moment_inner(empty, ground_state()).is_zero()
+    assert gaussian_moment_inner(ground_state(), empty).is_zero()
 
 
 def test_moment_table_anchors():
