@@ -11,7 +11,6 @@ from .weyl import WeylOperator, GaussianState, Poly3
 from .operators import catalogue, op, IdentityRecord
 from .fock import CreationPolynomial, wick_inner, gaussian_moment_inner
 from .jordan import JordanLabel, AssociatedState, build_state, ladder_apply
-from .biortho import normalization, gram, orthogonalize
 
 __version__ = "0.1.0"
 
@@ -24,3 +23,13 @@ __all__ = [
     "normalization", "gram", "orthogonalize",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """``normalization``, ``gram`` and ``orthogonalize``, read from
+    :mod:`quadosc.biortho`, which loads on first use: importing the package
+    does not compile it."""
+    if name in ("normalization", "gram", "orthogonalize"):
+        from . import biortho
+        return getattr(biortho, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
@@ -47,14 +47,12 @@ def norm_pairing(k: int, n: int, m: int) -> ParamScalar:
     return wick_inner(bra, ket)
 
 
-@dataclass(frozen=True)
-class GramBlock:
-    """Exact Gram matrix of one Jordan block under the bilinear pairing."""
+class GramBlock(namedtuple("GramBlock", "k n matrix hankel")):
+    """Exact Gram matrix of one Jordan block under the bilinear pairing:
+    ``matrix`` is its (2n+1) x (2n+1) tuple of tuples of ParamScalar and
+    ``hankel`` holds h_j for j = 0 .. 4n, with matrix[m][m'] = h_{m+m'}."""
 
-    k: int
-    n: int
-    matrix: tuple          # (2n+1) x (2n+1) tuple of tuples of ParamScalar
-    hankel: tuple          # h_j for j = 0 .. 4n, with matrix[m][m'] = h_{m+m'}
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -86,15 +84,13 @@ def gram(k: int, n: int) -> GramBlock:
     return GramBlock(k, n, tuple(tuple(row) for row in mat), tuple(hankel))
 
 
-@dataclass(frozen=True)
-class PhiTransform:
+class PhiTransform(namedtuple("PhiTransform", "k n rows")):
     """Unit lower-triangular Toeplitz change of basis producing the
     anti-diagonal Kronecker pairing pattern inside one block: the m-th new
-    member is t(H - E) applied to the m-th member."""
+    member is t(H - E) applied to the m-th member.  rows[m] = (t_m, ..., t_1)
+    holds the coefficients on members 0..m-1."""
 
-    k: int
-    n: int
-    rows: tuple            # rows[m] = (t_m, ..., t_1), the coefficients on members 0..m-1
+    __slots__ = ()
 
     def apply_rows(self):
         """Full coefficient rows including the unit diagonal."""
@@ -188,7 +184,7 @@ _T_PAIRINGS = {
 
 def _t_states(which: int, k: int, n: int):
     """The bra, signed by (-1)^n, and the ket of one of the three vacuum
-    pairings."""
+    pairings whose vanishing drives the normalization induction."""
     if which not in _T_PAIRINGS:
         raise ValueError("which must be 1, 2, or 3")
     kind, least_k, least_n, a, b, c = _T_PAIRINGS[which]
@@ -198,12 +194,6 @@ def _t_states(which: int, k: int, n: int):
     bra = CreationPolynomial.word(n, 0, 0, sign) * _fock.expand_q_power(k - 1)
     ket = CreationPolynomial.word(a, n - b, 0) * _fock.expand_q_power(k - c)
     return bra, ket
-
-
-def t_vanishing_value(which: int, k: int, n: int) -> ParamScalar:
-    """The three vacuum pairings whose vanishing drives the normalization
-    induction; evaluated by contraction permanents."""
-    return wick_inner(*_t_states(which, k, n))
 
 
 def verify_T_vanishing(max_k: int, max_n: int) -> list:

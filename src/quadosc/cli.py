@@ -2,8 +2,14 @@
 families, print block members, and evaluate ad-hoc operator expressions.
 
 Exit codes: 0 when everything verified, 1 when any identity failed, 2 for
-usage errors.  JSON reports are canonical and byte-reproducible by default;
-pass --timing to embed measured per-identity wall times.
+usage errors, 141 (128 + SIGPIPE) when the reader closed standard output
+before the command finished writing, as ``quadosc verify | head -1`` can.
+JSON reports are canonical and byte-reproducible by default; pass --timing
+to embed measured per-identity wall times.
+
+Each command loads only the modules it runs: :mod:`quadosc.biortho` loads
+with the ``biortho`` suite or ``tabulate --what N``, and :mod:`quadosc.expr`
+with ``commutator`` and ``inner``.
 """
 
 from __future__ import annotations
@@ -13,13 +19,12 @@ import contextlib
 import functools
 import json
 import operator
+import os
 import sys
 
 from . import operators as _ops
 from . import jordan as _jordan
-from . import biortho as _biortho
 from . import fock as _fock
-from . import expr as _expr
 from .coeff import ParamScalar
 from .jordan import JordanLabel
 from .report import VerificationReport, merge_reports, report_text
@@ -32,6 +37,26 @@ CROSS_BLOCK_CAP = 2      # cross-block pairs, in k and in n
 ORACLE_MAX_TOTAL = 4     # combined word degree of the two pairing engines' agreement
 RECURSION_MIN_N = 6      # the coefficient recursions check n up to at least this
 AUXILIARY_MAX_P = 4      # powers of the raising letters in the auxiliary relations
+
+EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE: what a shell reports when a closed pipe ends a process
+
+
+def _biortho_suite(k, n):
+    """The sub-suites of ``biortho``.  Its module loads on the first call:
+    no other command but ``tabulate --what N`` uses it."""
+    from . import biortho
+    return [
+        biortho.verify_normalization(k, n),
+        biortho.verify_T_vanishing(k, n),
+        biortho.verify_q_identities(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
+        biortho.verify_gram_blocks(k, n),
+        biortho.verify_orthogonalization(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
+        biortho.verify_reference_phi_blocks(),
+        biortho.verify_adjoint_rules(),
+        biortho.verify_cross_block_orthogonality(min(k, CROSS_BLOCK_CAP),
+                                                 min(n, CROSS_BLOCK_CAP)),
+        biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)]
+
 
 # Each suite's sub-suites, called at the CLI bounds (max_k, max_n) in report
 # order; each returns its list of records.
@@ -49,17 +74,7 @@ _SUITES = {
         _jordan.verify_ladder_actions(k, n),
         _jordan.verify_special_actions(k, n)],
     "uvw": lambda k, n: [_jordan.verify_uvw_layer(min(n, STRUCTURE_CAP))],
-    "biortho": lambda k, n: [
-        _biortho.verify_normalization(k, n),
-        _biortho.verify_T_vanishing(k, n),
-        _biortho.verify_q_identities(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
-        _biortho.verify_gram_blocks(k, n),
-        _biortho.verify_orthogonalization(min(k, STRUCTURE_CAP), min(n, STRUCTURE_CAP)),
-        _biortho.verify_reference_phi_blocks(),
-        _biortho.verify_adjoint_rules(),
-        _biortho.verify_cross_block_orthogonality(min(k, CROSS_BLOCK_CAP),
-                                                  min(n, CROSS_BLOCK_CAP)),
-        _biortho.verify_oracle_agreement(ORACLE_MAX_TOTAL)],
+    "biortho": _biortho_suite,
     "picture": lambda k, n: [_fock.verify_letter_picture()],
 }
 SUITES = tuple(_SUITES)
@@ -140,10 +155,11 @@ def _cmd_tabulate(args) -> int:
                     b = (_jordan.coeff_b(n, p, q).render() if p <= n - 1 else "")
                     rows.append([n, p, q, a, b])
     elif args.what == "N":
+        from .biortho import normalization
         header = ["k", "n", "N"]
         for k in range(args.max_k + 1):
             for n in range(args.max_n + 1):
-                rows.append([k, n, _biortho.normalization(k, n).render()])
+                rows.append([k, n, normalization(k, n).render()])
     elif args.what == "ladder-coeffs":
         header = ["op", "k", "n", "m", "k'", "n'", "m'", "coefficient"]
         for k in range(args.max_k + 1):
@@ -180,7 +196,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
-    print(_expr.evaluate(args.expr).render())
+    from . import expr
+    print(expr.evaluate(args.expr).render())
     return 0
 
 
@@ -201,7 +218,8 @@ def _word(node):
     if node.kind == "name" and (letter := _fock.CreationPolynomial.letter(node.name)) is not None:
         return letter
     if node.kind in ("scalar", "name"):
-        value = _expr._evaluate(node)
+        from . import expr
+        value = expr._evaluate(node)
         if isinstance(value, ParamScalar):
             return _fock.CreationPolynomial.word(0, 0, 0, value)
     return None
@@ -212,10 +230,11 @@ def _creation_from_expr(text):
     product of scalars and raising letters is read off as its word; any other
     expression is evaluated whole, applied to Psi0 and its words peeled off,
     so that the evaluator and ``apply`` raise their own errors."""
-    node = _expr.parse(text)
+    from . import expr
+    node = expr.parse(text)
     creation = _word(node)
     if creation is None:
-        creation = _fock.gaussian_state_to_creation(_expr.evaluate(node).apply(ground_state()))
+        creation = _fock.gaussian_state_to_creation(expr.evaluate(node).apply(ground_state()))
     return creation
 
 
@@ -323,10 +342,19 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors already; normalize other exits
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # so that a closed pipe shows here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # nobody reads the rest; what is still buffered goes to devnull, so
+        # that the interpreter's own flush at exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ tokens: the sign binds to the letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import ParamScalar, LAM, G, I, ONE, scalar
@@ -41,17 +40,35 @@ class ExprError(ValueError):
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Node:
-    kind: str               # "sum" | "product" | "power" | "bracket"
-    #                       | "antibracket" | "name" | "scalar" | "neg" | "div"
-    children: tuple = ()
-    name: str = ""
-    value: Fraction = Fraction(0)
-    arg: int = -1           # parameter of a parametric name, -1 otherwise
-    # where the node's text starts, for error messages; equal trees parsed
-    # from different texts stay equal
-    pos: int = field(default=0, compare=False)
+    """One node of a parsed expression.  ``pos``, where the node's text
+    starts, serves error messages only: equality and hashing leave it out,
+    so equal trees parsed from different texts are equal and hash alike."""
+
+    __slots__ = ("kind", "children", "name", "value", "arg", "pos")
+
+    def __init__(self, kind: str, children: tuple = (), name: str = "",
+                 value: Fraction = Fraction(0), arg: int = -1, pos: int = 0):
+        self.kind = kind    # "sum" | "product" | "power" | "bracket"
+        #                   | "antibracket" | "name" | "scalar" | "neg" | "div"
+        self.children, self.name, self.value = children, name, value
+        self.arg = arg      # parameter of a parametric name, -1 otherwise
+        self.pos = pos
+
+    def _key(self) -> tuple:
+        return (self.kind, self.children, self.name, self.value, self.arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Node(kind={self.kind!r}, children={self.children!r}, name={self.name!r},"
+                f" value={self.value!r}, arg={self.arg!r}, pos={self.pos!r})")
 
 
 # -- Lexer ------------------------------------------------------------------

@@ -10,7 +10,7 @@ cancelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,19 +43,17 @@ def _dfact(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class JordanLabel:
+class JordanLabel(namedtuple("JordanLabel", "k n m")):
     """Block member label (k, n, m) with 0 <= m <= 2n."""
 
-    k: int
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0 or self.n < 0:
+    def __new__(cls, k: int, n: int, m: int):
+        if k < 0 or n < 0:
             raise ValueError("negative block indices")
-        if not (0 <= self.m <= 2 * self.n):
-            raise ValueError(f"m = {self.m} outside the block of size {2 * self.n + 1}")
+        if not (0 <= m <= 2 * n):
+            raise ValueError(f"m = {m} outside the block of size {2 * n + 1}")
+        return super().__new__(cls, k, n, m)
 
     @property
     def energy(self) -> ParamScalar:
@@ -65,12 +63,10 @@ class JordanLabel:
         return {"k": self.k, "n": self.n, "m": self.m, "energy": self.energy.render()}
 
 
-@dataclass(frozen=True)
-class AssociatedState:
-    """Unnormalized block member with its creation-polynomial representation."""
+class AssociatedState(namedtuple("AssociatedState", "label creation")):
+    """Unnormalized block member: its JordanLabel and its CreationPolynomial."""
 
-    label: JordanLabel
-    creation: CreationPolynomial
+    __slots__ = ()
 
     def uvw_poly(self) -> Poly3:
         """The wavefunction in (u, v, w): the change of variables of the zzb one."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,16 +36,31 @@ _E_NAMES = [f"E{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
 _D_NAMES = [f"D{t}{i}{j}" for t in "+-" for i in (1, 2, 3) for j in range(i, 4)]
 
 
-@dataclass
 class IdentityRecord:
-    """Outcome of one exact identity check."""
+    """Outcome of one exact identity check: equal to a record of the same
+    class and fields, unhashable, as a mutable record is."""
 
-    id: str
-    anchor: str
-    status: str          # "verified" | "failed"
-    residual: str        # canonical rendering of lhs - rhs ("0" when verified)
-    ms: float = 0.0
-    note: str = ""
+    __slots__ = ("id", "anchor", "status", "residual", "ms", "note")
+    __hash__ = None
+
+    def __init__(self, id: str, anchor: str, status: str, residual: str,
+                 ms: float = 0.0, note: str = ""):
+        self.id, self.anchor = id, anchor
+        self.status = status          # "verified" | "failed"
+        self.residual = residual      # canonical rendering of lhs - rhs ("0" when verified)
+        self.ms, self.note = ms, note
+
+    def _key(self) -> tuple:
+        return (self.id, self.anchor, self.status, self.residual, self.ms, self.note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._key())) + ")"
 
     @property
     def ok(self) -> bool:

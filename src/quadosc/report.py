@@ -8,9 +8,7 @@ reproducibility).
 
 from __future__ import annotations
 
-import importlib.resources
 import json
-from dataclasses import dataclass, field
 
 from .operators import IdentityRecord
 
@@ -21,21 +19,36 @@ _VERSION = "0.1.0"
 
 def __getattr__(name):
     """``SCHEMA``, the published report schema, read from the package on
-    first use (importing this module opens no file)."""
+    first use: importing this module opens no file, and loads no
+    ``importlib.resources``, some 60 modules when the interpreter's start
+    has not loaded them already."""
     global SCHEMA
     if name != "SCHEMA":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib.resources
     SCHEMA = json.loads(
         importlib.resources.files(__package__).joinpath("report_schema.json").read_text())
     return SCHEMA
 
 
-@dataclass
 class VerificationReport:
-    """Aggregated result of one or more identity suites."""
+    """Aggregated result of one or more identity suites; each report starts
+    with a list of records of its own."""
 
-    suite: str
-    records: list = field(default_factory=list)   # (suite_name, IdentityRecord)
+    __slots__ = ("suite", "records")
+    __hash__ = None
+
+    def __init__(self, suite: str, records=None):
+        self.suite = suite
+        self.records = [] if records is None else records   # (suite_name, IdentityRecord)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.records) == (other.suite, other.records)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(suite={self.suite!r}, records={self.records!r})"
 
     def add(self, suite_name: str, recs):
         for r in recs:

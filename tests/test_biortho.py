@@ -81,18 +81,18 @@ def test_nondegenerate_cross_blocks_vanish():
 
 
 def test_t_vanishing_examples():
-    assert B.t_vanishing_value(2, 1, 1).is_zero()
-    assert B.t_vanishing_value(3, 1, 2).is_zero()
-    assert B.t_vanishing_value(1, 2, 1).is_zero()
+    assert wick_inner(*B._t_states(2, 1, 1)).is_zero()
+    assert wick_inner(*B._t_states(3, 1, 2)).is_zero()
+    assert wick_inner(*B._t_states(1, 2, 1)).is_zero()
     with pytest.raises(ValueError):
-        B.t_vanishing_value(1, 1, 0)
+        wick_inner(*B._t_states(1, 1, 0))
 
 
 def test_t_record_with_unequal_degrees_is_red(monkeypatch):
     # a wrong ket power pairs words of unequal degree, which gives 0 whatever
     # the powers; the record names both degrees instead of passing
     monkeypatch.setitem(B._T_PAIRINGS, 1, ("first", 2, 0, 3, 0, 2))
-    assert B.t_vanishing_value(1, 2, 1).is_zero()
+    assert wick_inner(*B._t_states(1, 2, 1)).is_zero()
     records = {r.id: r for r in B.verify_T_vanishing(3, 3)}
     red = {ident: r.residual for ident, r in records.items() if not r.ok}
     assert set(red) == {i for i in records if i.startswith("biortho/T1-")} != set()

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -127,6 +128,74 @@ def test_suites_never_import_sympy():
     assert proc.stdout == ""
     # the whole of stderr: the divisor named, and no traceback
     assert proc.stderr == "error: cannot divide by lam - g: not a unit times a monomial\n"
+
+
+def test_commands_load_only_the_modules_they_run():
+    # importing the package and the CLI loads no dataclasses (nor the
+    # inspect, ast and dis it pulls in); biortho and expr load on the first
+    # command that runs them
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import quadosc, quadosc.cli
+        from quadosc.cli import main
+        quadosc.catalogue()
+        lazy = ("dataclasses", "quadosc.biortho", "quadosc.expr")
+        loaded = lambda: [name for name in lazy if name in sys.modules]
+        assert loaded() == [], loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", "ladder"]) == 0
+            assert loaded() == [], loaded()
+            assert main(["commutator", "[A+,B-]"]) == 0
+            assert loaded() == ["quadosc.expr"], loaded()
+            # 1: the documented red record
+            assert main(["verify", "--suite", "biortho", "--max-k", "1", "--max-n", "1"]) == 1
+            assert loaded() == ["quadosc.biortho", "quadosc.expr"], loaded()
+        assert quadosc.gram is quadosc.biortho.gram
+        assert quadosc.normalization is quadosc.biortho.normalization
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_loads_importlib_resources_only_for_the_schema():
+    # without site (-S), nothing at start-up loads importlib.resources; the
+    # CLI does not either, and the report schema still loads when read
+    script = textwrap.dedent("""
+        import sys
+        from quadosc import cli, report
+        assert "importlib.resources" not in sys.modules
+        schema = report.SCHEMA
+        assert "importlib.resources" in sys.modules
+        rep = report.VerificationReport("ladder")
+        rep.add("ladder", cli._SUITES["ladder"](0, 0)[0])
+        import site
+        site.main()   # only now: jsonschema lives in site-packages
+        import jsonschema
+        jsonschema.validate(rep.to_json_dict(), schema)
+    """)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the table is far longer than a pipe holds, so the CLI is still writing
+    # when the reader closes its end after the first line
+    argv = ["tabulate", "--what", "ladder-coeffs", "--max-k", "4", "--max-n", "6"]
+    proc = subprocess.Popen([sys.executable, "-m", "quadosc", *argv], env=_fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141, err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first.split() == [b"op", b"k", b"n", b"m", b"k'", b"n'", b"m'", b"coefficient"]
+    assert err == b""
 
 
 def test_importing_the_cli_loads_no_csv():
@@ -410,6 +479,22 @@ def test_reports_are_the_bytes_json_dump_writes(tmp_path, capsys, all_report):
     assert report_text(merge_reports([docs[2]])).encode() == dumped(merge_reports([docs[2]]))
     _, path = all_report
     assert path.read_bytes() == dumped(json.loads(path.read_text()))
+
+
+def test_records_and_reports_are_values():
+    rec = IdentityRecord("custom/x", "synthetic", "failed", "1 - lam", 1.5, note="a note")
+    # the form --jobs 2 sends records back to the parent in
+    again = pickle.loads(pickle.dumps(rec))
+    assert again == rec and again is not rec
+    assert again != IdentityRecord("custom/x", "synthetic", "failed", "1 - lam", 1.5)
+    assert repr(rec) == ("IdentityRecord(id='custom/x', anchor='synthetic', status='failed',"
+                         " residual='1 - lam', ms=1.5, note='a note')")
+    with pytest.raises(TypeError):
+        hash(rec)
+    first, second = VerificationReport("a"), VerificationReport("b")
+    first.add("a", [rec])
+    assert first.records == [("a", rec)] and second.records == []
+    assert VerificationReport("a", [("a", rec)]) == first != second
 
 
 def test_report_merge_failed_records_exit_one(tmp_path, capsys):

@@ -204,6 +204,18 @@ def test_parse_render_identity_on_random_asts():
         assert E.evaluate(again) == want
 
 
+def test_equal_trees_at_different_positions_are_equal():
+    # a node's position serves error messages only
+    a, b = E.parse("[A+,B-]"), E.parse("  [ A+ , B- ]")
+    assert (a.pos, a.children[0].pos) != (b.pos, b.children[0].pos)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != E.parse("[B-,A+]")
+    assert E.Node("name", name="H", pos=3) == E.Node("name", name="H")
+    assert E.Node("scalar", value=Fraction(2)) != E.Node("scalar", value=Fraction(3))
+    assert E.Node("name", name="Dp", arg=1) != E.Node("name", name="Dp", arg=2)
+
+
 def test_scalar_render_round_trip():
     values = [
         ONE / (2 * LAM),

@@ -15,12 +15,25 @@ from quadosc.jordan import JordanLabel
 
 
 def test_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m = 3 outside the block of size 3$"):
         JordanLabel(0, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative block indices$"):
         JordanLabel(-1, 0, 0)
+    with pytest.raises(ValueError, match=r"^negative block indices$"):
+        JordanLabel(k=0, n=-1, m=0)
     lbl = JordanLabel(1, 2, 3)
     assert lbl.energy == scalar(8) * LAM
+
+
+def test_label_is_a_value():
+    lbl = JordanLabel(0, 1, 2)
+    assert repr(lbl) == "JordanLabel(k=0, n=1, m=2)"
+    assert lbl == JordanLabel(k=0, n=1, m=2) and hash(lbl) == hash(JordanLabel(0, 1, 2))
+    assert lbl != JordanLabel(0, 1, 1)
+    assert {lbl: 1}[JordanLabel(0, 1, 2)] == 1
+    assert (lbl.k, lbl.n, lbl.m) == (0, 1, 2)
+    with pytest.raises(AttributeError):
+        lbl.m = 0
 
 
 def test_coeff_a_examples():
