@@ -18,10 +18,11 @@ hashable, and a real constant hashes like its ``Fraction``.
 
 Arithmetic.  ``+``, ``-``, ``*``, powers and conjugation are integer products
 and sums, then one ``math.gcd`` pass over the coefficients.  Powers square
-repeatedly.  The Weyl kernel, substitution and the span solver flatten
-their operands to integer rows over a common denominator (:func:`_flatten`),
-sum the products as integers (:func:`_accumulate`) and pay that pass once
-per result (:func:`_collect`).
+repeatedly.  Every product over term pairs (``weyl._contract``),
+substitution and the span solver flatten their operands over a common
+denominator (:func:`_flatten`; a value already over it hands its own Laurent
+map through), sum the products as integers (:func:`_accumulate`) and pay that
+pass once per result (:func:`_collect`).
 Division and negative powers need an inverse in the ring, so the divisor
 must be a nonzero unit times a monomial, as in ``1/(2*lam)``; any other
 divisor, such as ``lam - g``, raises a ``ValueError`` that names it.  A zero
@@ -138,29 +139,25 @@ def _lcd(values):
     return d
 
 
-def _integer_form(c):
-    """(d, items) with c = sum of (re + i*im) lam^e_lam g^e_g over d for the
-    ((e_lam, e_g), (re, im)) of ``items``: the integer denominator and the
-    Laurent map of a value, for kernels that sum products as integers."""
-    return c._den[_UNIT][0], c._num.items()
-
-
 def _flatten(terms, d: int):
-    """The values of ``terms`` as (key, rows) pairs, rows the (e_lam, e_g, re,
-    im) of the Laurent map d*value, for d a multiple of every denominator."""
+    """The values of ``terms`` as (key, items) pairs, items the ((e_lam, e_g),
+    (re, im)) of the Laurent map d*value, for d a multiple of every
+    denominator.  A value over d hands its own map's items through; only the
+    others are scaled into a new list."""
     out = []
     for key, c in terms.items():
         k = d // c._den[_UNIT][0]
-        out.append((key, [(a, b, x * k, y * k) for (a, b), (x, y) in c._num.items()]))
+        out.append((key, c._num.items() if k == 1
+                    else [(e, (x * k, y * k)) for e, (x, y) in c._num.items()]))
     return out
 
 
 def _accumulate(acc, c1, c2, pairs):
-    """Add the product of two flattened values (rows of :func:`_flatten`)
+    """Add the product of two flattened values (items of :func:`_flatten`)
     times each int weight k at each key m of ``pairs`` into the integer sums
     ``acc``, {(m, (e_lam, e_g)): (re, im)}, that :func:`_collect` reads."""
-    for a, b, x, y in c1:
-        for p, q, u, v in c2:
+    for (a, b), (x, y) in c1:
+        for (p, q), (u, v) in c2:
             e, re, im = (a + p, b + q), x * u - y * v, x * v + y * u
             for m, k in pairs:
                 cur = acc.get((m, e))

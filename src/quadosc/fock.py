@@ -11,11 +11,11 @@ The two engines are deliberately unrelated:
   constant cross-brackets of the letters, reducing each monomial pairing to a
   signed matrix permanent, read off the one table of letter-pair counts that
   its margins allow.
-* :func:`gaussian_moment_inner` works directly with wavefunctions: it sums
-  c1 * c2 times the formal Gaussian moment of m1 * m2 over their term pairs
-  in (z, zb, x3), as integers; each moment is paired by Isserlis' recursion
-  over the covariance of Psi0^2 in (z, zb, x3), the exact inverse of its
-  quadratic form, once per monomial.
+* :func:`gaussian_moment_inner` works directly with wavefunctions: the
+  term-pair kernel ``weyl._contract`` forms their product's even part in
+  (z, zb, x3), and each monomial's formal Gaussian moment is paired by
+  Isserlis' recursion over the covariance of Psi0^2 in (z, zb, x3), the
+  exact inverse of its quadratic form, once per monomial.
 
 Their agreement on a sweep of states is one of the acceptance criteria.
 """
@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar, _lcd, _integer_form, _collect
+from .coeff import ParamScalar, LAM, G, ONE, ZERO, scalar
 from .weyl import (WeylOperator, Poly3, GaussianState, SPACE_ZZB, SPACE_UVW, SPACE_ABC,
                    ground_state, identity_op, variable, derivative, symplectic,
-                   symplectic_inverse, linear_images, _add_into, _conjugated, _unit)
+                   symplectic_inverse, linear_images, _add_into, _conjugated, _contract,
+                   _times, _unit)
 from . import operators as _ops
 
 __all__ = [
@@ -382,41 +383,16 @@ def _moment(e) -> ParamScalar:
     return total
 
 
+def _even_product(m1, m2):
+    """The product rule :func:`weyl._times` for a pair of even total degree;
+    none for an odd pair, since odd moments vanish."""
+    return () if (sum(m1) + sum(m2)) % 2 else _times(m1, m2)
+
+
 def gaussian_moment_inner(bra: GaussianState, ket: GaussianState) -> ParamScalar:
-    """Independent oracle: int bra ket Psi0^2 / int Psi0^2, the sum of
-    c1 * c2 * <m1 + m2> over the term pairs of bra and ket, with each zzb
-    monomial's formal Gaussian moment <m> tabulated.  No product polynomial
-    is formed: the triple products are summed as Gaussian integers over the
-    operands' common denominators d1*d2, one sum per moment denominator and
-    exponent pair; the sums then meet over the moments' common denominator,
-    and the total is canonicalized once."""
-    d1, d2 = _lcd(bra.terms.values()), _lcd(ket.terms.values())
-    kets = []
-    for mono, coeff in ket.terms.items():
-        d, num = _integer_form(coeff)
-        kets.append((mono, d2 // d, num))
-    moments, acc = {}, {}
-    for (a, b, c), c1 in bra.terms.items():
-        d, num1 = _integer_form(c1)
-        k1 = d1 // d
-        for (x, y, z), k2, num2 in kets:
-            if (a + b + c + x + y + z) % 2:
-                continue   # odd moments vanish
-            m = (a + x, b + y, c + z)
-            if m not in moments:
-                moments[m] = _integer_form(_moment(m))
-            d3, num3 = moments[m]
-            k = k1 * k2
-            for (e, f), (r1, i1) in num1:
-                for (p, q), (r2, i2) in num2:
-                    re, im = (r1 * r2 - i1 * i2) * k, (r1 * i2 + i1 * r2) * k
-                    for (s, t), (r3, i3) in num3:
-                        key = (d3, e + p + s, f + q + t)
-                        cur = acc.get(key, (0, 0))
-                        acc[key] = (cur[0] + re * r3 - im * i3, cur[1] + re * i3 + im * r3)
-    d3 = math.lcm(*(d for d, _ in moments.values()))
-    total = {}
-    for (d, e, f), (re, im) in acc.items():
-        cur = total.get((None, (e, f)), (0, 0))
-        total[None, (e, f)] = (cur[0] + re * (d3 // d), cur[1] + im * (d3 // d))
-    return _collect(total, d1 * d2 * d3).get(None, ZERO)
+    """Independent oracle: int bra ket Psi0^2 / int Psi0^2.  The even-degree
+    part of the product bra * ket is formed by the term-pair kernel
+    ``weyl._contract``, and each of its monomials m is paired with its
+    tabulated formal Gaussian moment <m>."""
+    product = _contract(bra.terms, ket.terms, _even_product)
+    return sum((c * _moment(m) for m, c in product.items()), ZERO)

@@ -184,14 +184,15 @@ def build_state(label: JordanLabel) -> AssociatedState:
 
 @lru_cache(maxsize=None)
 def _direct_chain(k: int, n: int):
-    """All 2n+1 members of a block by repeatedly applying (H - E) to the
-    chain top, re-expressed in creation letters; the expensive direct route."""
-    h_shift = _ops.catalogue()["H"] - identity_op().scale(JordanLabel(k, n, 0).energy)
+    """All 2n+1 members of a block by repeatedly applying H - E to the chain
+    top (H's one conjugation by Psi0, shared by every block, then E times the
+    member off), re-expressed in creation letters; the expensive direct route."""
+    h, energy = _ops.catalogue()["H"], JordanLabel(k, n, 0).energy
     top = _fock.to_gaussian_state(
         CreationPolynomial.word(0, n, 0) * _fock.expand_q_power(k))
     chain = {2 * n: top}
     for m in range(2 * n, 0, -1):
-        chain[m - 1] = h_shift.apply(chain[m])
+        chain[m - 1] = h.apply(chain[m]) - chain[m].scale(energy)
     return {m: _fock.gaussian_state_to_creation(s) for m, s in chain.items()}
 
 

@@ -309,29 +309,19 @@ class WeylOperator(SparseTerms):
         return _conjugated(self).apply_poly(state)
 
     def apply_poly(self, poly: "Poly3") -> "Poly3":
-        """Action on a bare polynomial: x^a d^d sends x^q to q!/(q-d)! x^(q-d+a)
-        in each variable, the fully contracted term of :func:`_expand`'s formula.
+        """Action on a bare polynomial, term pairs contracted by :func:`_act`.
         The result has the class of ``poly``, so a state's terms give a state."""
         if self.space != poly.space:
             raise ValueError("operator and polynomial space mismatch")
-        perm = math.perm
-        out = {}
-        for (a, b, c, d, e, f), c1 in self.terms.items():
-            for (p, q, r), c2 in poly.terms.items():
-                if p >= d and q >= e and r >= f:
-                    k = perm(p, d) * perm(q, e) * perm(r, f)
-                    m = (p - d + a, q - e + b, r - f + c)
-                    add = c1 * c2 if k == 1 else c1 * c2 * k
-                    cur = out.get(m)
-                    out[m] = add if cur is None else cur + add
-        return poly._new(out)
+        return poly._new(_contract(self.terms, poly.terms, _act))
 
 
 def _contract(terms1, terms2, expand, *args):
     """Sum over term pairs of ``c1*c2`` times ``expand(m1, m2, *args)``, the
-    pair's normal-ordered expansion as (monomial, int weight) pairs, in
-    Gaussian integers over the common denominator d1*d2 of the two operands'
-    integer denominators: each output coefficient is canonicalized once."""
+    pair's rule as (monomial, int weight) pairs (:func:`_expand`'s product and
+    brackets, :func:`_act`, :func:`_times`), in Gaussian integers over the
+    common denominator d1*d2 of the two operands' integer denominators: each
+    output coefficient is canonicalized once."""
     if not terms1 or not terms2:
         return {}
     d1, d2 = _lcd(terms1.values()), _lcd(terms2.values())
@@ -367,6 +357,23 @@ def _expand(m1, m2, sign):
         if w := w1 + sign * w2:
             out.append(((a - j[0], b - j[1], c - j[2], d - j[0], e - j[1], f - j[2]), w))
     return out
+
+
+def _act(m, q):
+    """x^a d^d on the polynomial monomial x^q: per variable q!/(q-d)! x^(q-d+a),
+    the fully contracted term of :func:`_expand`'s formula, as one pair, or
+    none when a derivative's order passes its power."""
+    a, b, c, d, e, f = m
+    r, s, t = q
+    if r < d or s < e or t < f:
+        return ()
+    perm = math.perm
+    return (((r - d + a, s - e + b, t - f + c), perm(r, d) * perm(s, e) * perm(t, f)),)
+
+
+def _times(m1, m2):
+    """The product of two polynomial monomials: exponents added, weight 1."""
+    return (((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]), 1),)
 
 
 # a dict, not lru_cache: the benchmark's tracer reads its size as the miss count
@@ -415,14 +422,7 @@ class Poly3(SparseTerms):
     def __mul__(self, other):
         if isinstance(other, Poly3):
             self._check(other)
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    add = c1 * c2
-                    cur = out.get(m)
-                    out[m] = add if cur is None else cur + add
-            return self._new(out)
+            return self._new(_contract(self.terms, other.terms, _times))
         return self.scale(other)
 
     substitute = SparseTerms.substitute
@@ -483,7 +483,7 @@ def _psi0_images():
 def _conjugated(op: WeylOperator) -> WeylOperator:
     """Psi0^-1 op Psi0: the operator whose action on a bare polynomial is
     ``op``'s action on the polynomial times Psi0.  The bound keeps the
-    catalogue's letters warm and lets one-off operators go."""
+    catalogue's letters and H warm and lets one-off operators go."""
     return op.substitute(_psi0_images())
 
 

@@ -414,7 +414,6 @@ def test_zzb_elimination_matches_uvw_peeling_off_the_round_trip(name, poly):
 
 # The real coordinates z = x1 + i x2, zb = x1 - i x2, x3, in which Psi0^2 is
 # exp(-x^T A x): the moment engine's former route, stated here on its own.
-SPACE_REAL = "x123"
 REAL_FORM = [[LAM, ZERO, -G],
              [ZERO, LAM, I * G],
              [-G, I * G, LAM]]
@@ -445,14 +444,26 @@ def real_moment(e):
     return total
 
 
-def moment_of_product_oracle(bra, ket):
-    """The whole product written in the real coordinates, then every
-    monomial paired by :func:`real_moment`."""
-    x1, x2, x3 = (poly_var(i, SPACE_REAL) for i in range(3))
-    real = (bra.poly * ket.poly).substitute((x1 + x2.scale(I), x1 + x2.scale(-I), x3))
+@lru_cache(maxsize=None)
+def zzb_real_moment(a, b, c):
+    """<z^a zb^b x3^c> in the real coordinates: z^a zb^b expanded binomially,
+    the sum over j, k of C(a, j) C(b, k) i^j (-i)^k x1^(a+b-j-k) x2^(j+k),
+    and every monomial paired by :func:`real_moment`."""
     total = ZERO
-    for mono, coeff in real.terms.items():
-        total = total + coeff * real_moment(mono)
+    for j in range(a + 1):
+        for k in range(b + 1):
+            weight = I ** j * (-I) ** k * (math.comb(a, j) * math.comb(b, k))
+            total = total + weight * real_moment((a + b - j - k, j + k, c))
+    return total
+
+
+def moment_of_product_oracle(bra, ket):
+    """The pairing term pair by term pair, one ParamScalar operation at a
+    time: no polynomial product, no substitution."""
+    total = ZERO
+    for (a, b, c), c1 in bra.terms.items():
+        for (x, y, z), c2 in ket.terms.items():
+            total = total + c1 * c2 * zzb_real_moment(a + x, b + y, c + z)
     return total
 
 

@@ -305,8 +305,7 @@ def _table_errors(solver, targets):
     whose combination is not their own monomial (B times its inverse is 1)."""
     bad = [t for t in targets if _recombined(solver, solver.express(t)) != t]
     for mono, row in solver.rows.items():
-        coeffs = {n: coeff._laurent({(a, b): (x, y) for a, b, x, y in entries}, solver.den)
-                  for n, entries in row}
+        coeffs = {n: coeff._laurent(dict(entries), solver.den) for n, entries in row}
         if _recombined(solver, coeffs) != WeylOperator({mono: ONE}, _space(solver)):
             bad.append(mono)
     return bad
@@ -321,8 +320,8 @@ def test_span_certificates_recombine_to_their_targets(monkeypatch):
     # one wrong integer in one table entry is caught
     mono = next(m for t in targets for m in t.even.terms)
     (name, entries), *rest = solver.rows[mono]
-    (a, b, x, y), *more = entries
-    monkeypatch.setitem(solver.rows, mono, [(name, [(a, b, x + 1, y), *more]), *rest])
+    (e, (x, y)), *more = entries
+    monkeypatch.setitem(solver.rows, mono, [(name, [(e, (x + 1, y)), *more]), *rest])
     assert _table_errors(solver, targets) != []
 
 

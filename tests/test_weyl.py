@@ -184,6 +184,16 @@ def diff_oracle(poly, axis):
     return out
 
 
+def times_oracle(p, q):
+    """The product of two polynomials, one ParamScalar operation at a time."""
+    out = {}
+    for (a, b, c), c1 in p.terms.items():
+        for (x, y, z), c2 in q.terms.items():
+            m = (a + x, b + y, c + z)
+            out[m] = out.get(m, ZERO) + c1 * c2
+    return Poly3(out, p.space)
+
+
 def _std_dlog_rules():
     """(d_z, d_zb, d_3) log Psi0, written out by hand."""
     z, zb, x3 = (poly_var(i) for i in range(3))
@@ -206,8 +216,8 @@ def act_oracle(a, poly, rules=None):
         for axis, count in ((0, d), (1, e), (2, f)):
             for _ in range(count):
                 step = diff_oracle(cur, axis)
-                cur = step if rules is None else step + cur * rules[axis]
-        out = out + cur * Poly3({(p, q, r): coeff}, poly.space)
+                cur = step if rules is None else step + times_oracle(cur, rules[axis])
+        out = out + times_oracle(cur, Poly3({(p, q, r): coeff}, poly.space))
     return out
 
 
@@ -301,16 +311,20 @@ def contract_oracle(a, b, expand, *args):
 
 
 @_SLOW_OK
-@given(operators(), operators())
-def test_contract_matches_scalar_arithmetic(a, b):
-    # integer sums over a common denominator against ParamScalar operators;
-    # scaled by I/(2*lam) + g, every coefficient of an operand has a
-    # denominator and two terms
-    for x in (a, a.scale(I / (2 * LAM) + G)):
-        for expand, args in ((weyl._reorder, ()), (weyl._bracket_terms, (-1,)),
-                             (weyl._bracket_terms, (1,))):
-            got = weyl._contract(x.terms, b.terms, expand, *args)
-            assert weyl._clean(got) == contract_oracle(x, b, expand, *args)
+@given(operators(), operators(), states(), states())
+def test_contract_matches_scalar_arithmetic(a, b, s, t):
+    # integer sums over a common denominator against ParamScalar operators,
+    # for the product, both brackets, the action on a polynomial and the
+    # polynomial product; scaled by I/(2*lam) + g, every coefficient of an
+    # operand has a denominator and two terms
+    k = I / (2 * LAM) + G
+    for x, p in ((a, s.poly), (a.scale(k), s.poly.scale(k))):
+        for left, right, expand, args in (
+                (x, b, weyl._reorder, ()), (x, b, weyl._bracket_terms, (-1,)),
+                (x, b, weyl._bracket_terms, (1,)), (x, t.poly, weyl._act, ()),
+                (p, t.poly, weyl._times, ())):
+            got = weyl._contract(left.terms, right.terms, expand, *args)
+            assert weyl._clean(got) == contract_oracle(left, right, expand, *args)
 
 
 def test_contract_skips_empty_operands(monkeypatch):
@@ -328,10 +342,12 @@ def test_contract_skips_empty_operands(monkeypatch):
 
 
 def test_bracket_kernel_makes_no_scalar_operator_call(monkeypatch):
-    # the kernel sums integers and builds one value per output monomial
+    # the kernel sums integers and builds one value per output monomial, for
+    # brackets, the action on a polynomial and the polynomial product;
     # [E12, D+13] cancels to zero; [E12, D+23] = D+13 does not
     e12, b = catalogue()["E12"], boson()
     pairs = [(e12, b["D+13"].even), (e12, b["D+23"].even)]
+    poly = (poly_var(0) * poly_var(1)).scale(I / (2 * LAM)) + poly_var(1).scale(G) + poly_one()
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
@@ -348,12 +364,15 @@ def test_bracket_kernel_makes_no_scalar_operator_call(monkeypatch):
 
     monkeypatch.setattr(coeff, "_new", counted_new)
     brackets = [x.commutator(y) for x, y in pairs]
+    acted, squared = e12.apply_poly(poly), poly * poly
     assert calls == []
-    assert len(built) == sum(len(bracket.terms) for bracket in brackets)
+    assert len(built) == sum(len(v.terms) for v in brackets + [acted, squared])
     assert brackets[0].is_zero() and not brackets[1].is_zero()
+    assert not acted.is_zero() and len(squared.terms) > len(poly.terms)
     monkeypatch.undo()
     for (x, y), bracket in zip(pairs, brackets):
         assert bracket == x * y - y * x
+    assert acted == act_oracle(e12, poly) and squared == times_oracle(poly, poly)
 
 
 def test_space_mismatch_rejected():
@@ -362,6 +381,10 @@ def test_space_mismatch_rejected():
         _ = Z + u
     with pytest.raises(ValueError):
         _ = Z * u
+    with pytest.raises(ValueError):
+        Z.apply_poly(poly_var(0, SPACE_UVW))
+    with pytest.raises(ValueError):
+        _ = poly_var(0) * poly_var(0, SPACE_UVW)
 
 
 def test_power_equals_repeated_product():
